@@ -347,8 +347,9 @@ std::optional<net::HttpResponse> Proxy::serve_stale(CacheShard& shard,
 // The serving state machine: one heap object per request carrying the
 // entire serve flow — routing, cache fast path, revalidation, peer query,
 // sibling redirect, NRS resolution, location fetches, legacy forward — as
-// uniquely-named continuations chained through Transport::send_async /
-// send_streaming_async. With a real executor each upstream exchange parks
+// uniquely-named continuations chained through Transport::send_async and,
+// for every object fetch, MultiSourceFetcher::fetch_from_best (see
+// fetch_object()). With a real executor each upstream exchange parks
 // the machine and the loop thread returns to its poller; with a null
 // executor every transport hop completes inline and the machine settles
 // before dispatch() returns (the synchronous handle_http contract).
@@ -411,6 +412,10 @@ public:
   [[nodiscard]] bool settled() const noexcept { return settled_; }
 
 private:
+  /// Continuation of one object fetch: the verified entry, or nullopt plus
+  /// whether the failure was transport-layer (see fetch_object()).
+  using FetchDone = std::function<void(std::optional<Entry>, bool)>;
+
   /// Exactly-once completion: applies the Range rewrite (idICN path only)
   /// and the PoP attribution header, then fires the respond — unless the
   /// client disconnected, in which case the response is dropped.
@@ -639,10 +644,10 @@ private:
       if (holder == proxy_->self_) continue;
       ++holders_tried_;  // stale-hint damage control: bounded candidates
       auto self = shared_from_this();
-      start_fetch(holder, hops_ + 1,
-                  [self, holder](std::optional<Entry> entry, bool) {
-                    self->weigh_sibling_fetch(holder, std::move(entry));
-                  });
+      fetch_object({holder}, hops_ + 1,
+                   [self, holder](std::optional<Entry> entry, bool) {
+                     self->weigh_sibling_fetch(holder, std::move(entry));
+                   });
       return;
     }
     after_siblings();
@@ -719,21 +724,24 @@ private:
   }
 
   void weigh_resolution() {
+    auto self = shared_from_this();
     if (!locations_.empty()) {
-      // Step 4: fetch from the first location that yields authentic
-      // content.
-      fetch_failed_ = false;
-      location_index_ = 0;
-      if (proxy_->options_.multi_source_fetch) {
-        // DESIGN.md §13: with ≥2 known replicas the fetch becomes a
-        // congestion-aware race instead of a serial ladder.
-        std::vector<net::Address> sources = multi_sources();
-        if (sources.size() >= 2) {
-          start_multi_fetch(std::move(sources));
-          return;
-        }
+      // Step 4: race every known replica — NRS rows, then the metalink
+      // mirrors and origin of the expired copy — for authentic content.
+      std::vector<net::Address> sources = locations_;
+      sources.insert(sources.end(), stale_mirrors_.begin(),
+                     stale_mirrors_.end());
+      if (stale_ && !stale_fetched_from_.empty()) {
+        sources.push_back(stale_fetched_from_);
       }
-      fetch_next_location();
+      fetch_object(std::move(sources), 0,
+                   [self](std::optional<Entry> entry, bool transport_failure) {
+                     if (entry) {
+                       self->deliver_entry(std::move(*entry), nullptr);
+                       return;
+                     }
+                     self->all_locations_failed(transport_failure);
+                   });
       return;
     }
     if (!resolve_failed_) {
@@ -743,97 +751,14 @@ private:
     // NRS outage. With an expired copy in hand we still know where it came
     // from — sidestep resolution and refetch directly (origin may be fine).
     if (stale_ && !stale_fetched_from_.empty()) {
-      if (halt_if_cancelled()) return;
-      auto self = shared_from_this();
-      start_fetch(stale_fetched_from_, 0,
-                  [self](std::optional<Entry> entry, bool) {
-                    self->weigh_direct_refetch(std::move(entry));
-                  });
-      return;
-    }
-    degrade_or_resolution_error();
-  }
-
-  /// The candidate replica set for a multi-source MISS: every NRS row,
-  /// mirrors remembered from the expired copy's metalink metadata, and
-  /// the address the expired copy originally came from — deduped
-  /// preserving that priority order.
-  [[nodiscard]] std::vector<net::Address> multi_sources() const {
-    std::vector<net::Address> sources;
-    sources.reserve(locations_.size() + stale_mirrors_.size() + 1);
-    const auto push = [&sources](const net::Address& candidate) {
-      if (candidate.empty()) return;
-      if (std::find(sources.begin(), sources.end(), candidate) !=
-          sources.end()) {
-        return;
-      }
-      sources.push_back(candidate);
-    };
-    for (const auto& location : locations_) push(location);
-    for (const auto& mirror : stale_mirrors_) push(mirror);
-    if (stale_) push(stale_fetched_from_);
-    return sources;
-  }
-
-  /// DESIGN.md §13: race the fetch across every known replica through the
-  /// proxy's MultiSourceFetcher (RTT-ranked primary, hedged duplicate past
-  /// the straggler threshold, parallel range legs on large objects). The
-  /// fetcher synthesizes a plain 200 head even when the body arrives as
-  /// joined ranges, so the FetchSink / verification / transit machinery is
-  /// exactly the serial path's.
-  void start_multi_fetch(std::vector<net::Address> sources) {
-    if (halt_if_cancelled()) return;
-    net::HttpRequest fetch;
-    fetch.method = "GET";
-    fetch.target = "/";
-    fetch.headers.set("Host", host_);
-    fetch.headers.set(kWantMetadataHeader, "1");  // this proxy verifies
-
-    auto sink = std::make_shared<FetchSink>(
-        [proxy = proxy_, host = host_](
-            const std::shared_ptr<detail::Transit>& transit) {
-          CacheShard& shard = proxy->shard_for(host);
-          const core::sync::MutexLock lock(shard.mutex);
-          shard.transit[host] = transit;
-        },
-        halt_flag_);
-    auto self = shared_from_this();
-    proxy_->fetcher_->fetch_from_best(
-        proxy_->self_, std::move(sources), std::move(fetch), sink, exec_,
-        [self, sink](net::HttpResponse head,
-                     const runtime::MultiSourceFetcher::Result& result) {
-          // The winning replica is where revalidations should go back to.
-          const net::Address source = !result.source.empty()
-                                          ? result.source
-                                          : self->locations_.front();
-          self->finish_fetch(
-              *sink, source, 0, std::move(head),
-              [self, source](std::optional<Entry> entry,
-                             bool transport_failure) {
-                self->weigh_multi_fetch(source, std::move(entry),
-                                        transport_failure);
-              });
-        });
-  }
-
-  void weigh_multi_fetch(const net::Address& source, std::optional<Entry> entry,
-                         bool transport_failure) {
-    if (transport_failure) fetch_failed_ = true;
-    if (entry) {
-      deliver_entry(std::move(*entry), nullptr);
-      return;
-    }
-    // The race failed — every source errored, or the winner's content did
-    // not verify. Fall back to the serial location ladder, skipping the
-    // replica the race already proved bad: multi-source may make a MISS
-    // faster, it must never make one less available.
-    multi_failed_source_ = source;
-    fetch_next_location();
-  }
-
-  void weigh_direct_refetch(std::optional<Entry> entry) {
-    if (entry) {
-      deliver_entry(std::move(*entry), nullptr);
+      fetch_object({stale_fetched_from_}, 0,
+                   [self](std::optional<Entry> entry, bool) {
+                     if (entry) {
+                       self->deliver_entry(std::move(*entry), nullptr);
+                       return;
+                     }
+                     self->degrade_or_resolution_error();
+                   });
       return;
     }
     degrade_or_resolution_error();
@@ -851,42 +776,11 @@ private:
     settle(net::make_response(504, "name resolution unavailable"));
   }
 
-  void fetch_next_location() {
-    if (halt_if_cancelled()) return;
-    // A source the multi-source race already consumed (and whose content
-    // failed to deliver or verify) is not retried serially.
-    while (location_index_ < locations_.size() &&
-           locations_[location_index_] == multi_failed_source_) {
-      ++location_index_;
-    }
-    if (location_index_ >= locations_.size()) {
-      all_locations_failed();
-      return;
-    }
-    const net::Address location = locations_[location_index_++];
-    auto self = shared_from_this();
-    start_fetch(location, 0,
-                [self](std::optional<Entry> entry, bool transport_failure) {
-                  self->weigh_location_fetch(std::move(entry),
-                                             transport_failure);
-                });
-  }
-
-  void weigh_location_fetch(std::optional<Entry> entry,
-                            bool transport_failure) {
-    if (transport_failure) fetch_failed_ = true;
-    if (entry) {
-      deliver_entry(std::move(*entry), nullptr);
-      return;
-    }
-    fetch_next_location();
-  }
-
-  void all_locations_failed() {
-    if (fetch_failed_) {
-      // At least one location failed at the transport layer (vs content
-      // that merely failed verification): degrade to the expired copy if
-      // we hold one rather than surfacing the error.
+  void all_locations_failed(bool transport_failure) {
+    if (transport_failure) {
+      // At least one race failed at the transport layer (vs content that
+      // merely failed verification): degrade to the expired copy if we
+      // hold one rather than surfacing the error.
       ++proxy_->stats_.upstream_errors;
       if (stale_) {
         if (auto degraded = proxy_->serve_stale(proxy_->shard_for(host_),
@@ -921,24 +815,28 @@ private:
                              });
   }
 
-  /// fetch_and_verify, continuation style: streaming GET of `host_` from
-  /// `location` (hops > 0 marks a sibling fetch and rides along as
-  /// X-IdICN-Hops), chunks accumulating in a Transit that concurrent
-  /// requests join mid-flight while the digest is computed incrementally —
-  /// the body is never reassembled into one contiguous buffer. `k` gets
-  /// the verified entry, or nullopt plus whether the failure was
-  /// transport-layer (unreachable, 5xx) as opposed to a clean negative or
-  /// a verification failure.
-  void start_fetch(net::Address location, std::size_t hops,
-                   std::function<void(std::optional<Entry>, bool)> k) {
-    net::HttpRequest fetch;
-    fetch.method = "GET";
-    fetch.target = "/";
-    fetch.headers.set("Host", host_);
-    fetch.headers.set(kWantMetadataHeader, "1");  // this proxy verifies
+  /// The one upstream fetch primitive: a streaming GET of `host_` raced
+  /// across `sources` by the proxy's MultiSourceFetcher (one source is a
+  /// race with no hedge; hops > 0 marks a sibling fetch and rides along as
+  /// X-IdICN-Hops). Chunks accumulate in a Transit that concurrent requests
+  /// join mid-flight while the digest is computed incrementally — the body
+  /// is never reassembled into one contiguous buffer. When the winner's
+  /// bytes fail verification or its body dies after the head, the race
+  /// runs again over the sources not yet proven bad, so a failed race never
+  /// makes a MISS less available. `k` gets the verified entry, or nullopt
+  /// plus whether any race failed at the transport layer (unreachable,
+  /// 5xx) as opposed to a clean negative or a verification failure.
+  void fetch_object(std::vector<net::Address> sources, std::size_t hops,
+                    FetchDone k, bool transport_failure = false) {
+    if (halt_if_cancelled()) return;
+    net::HttpRequest request;
+    request.method = "GET";
+    request.target = "/";
+    request.headers.set("Host", host_);
+    request.headers.set(kWantMetadataHeader, "1");  // this proxy verifies
     // A sibling fetch carries its forwarding depth so the receiving proxy
     // can enforce Options::sibling_hop_limit (loop safety).
-    if (hops > 0) fetch.headers.set(kHopsHeader, std::to_string(hops));
+    if (hops > 0) request.headers.set(kHopsHeader, std::to_string(hops));
 
     auto sink = std::make_shared<FetchSink>(
         [proxy = proxy_, host = host_](
@@ -949,20 +847,43 @@ private:
         },
         halt_flag_);
     auto self = shared_from_this();
-    // Built before the send call: capturing `location` here by move while
-    // also passing it as the destination would read a moved-from string
-    // (argument evaluation order is unspecified).
-    net::SendCallback done = [self, sink, location, hops,
-                              k = std::move(k)](net::HttpResponse head) {
-      self->finish_fetch(*sink, location, hops, std::move(head), k);
-    };
-    proxy_->net_->send_streaming_async(proxy_->self_, location, fetch, sink,
-                                       exec_, std::move(done));
+    // Built before the call: `sources` is moved into the fetcher below.
+    runtime::MultiSourceFetcher::FetchCallback done =
+        [self, sink, sources, hops, k = std::move(k), transport_failure](
+            net::HttpResponse head,
+            const runtime::MultiSourceFetcher::Result& result) mutable {
+          transport_failure = transport_failure || head.status >= 500;
+          std::optional<Entry> entry =
+              self->finish_fetch(*sink, result.source, hops, std::move(head));
+          if (entry) {
+            k(std::move(entry), false);
+            return;
+          }
+          if (self->halt_if_cancelled()) return;
+          // A transit exists only once a winner's 2xx head reached the
+          // sink: that source is proven bad, the rest are untried or lost
+          // the race to it. Without one, the fetcher already tried them all.
+          if (sink->transit() != nullptr) {
+            std::erase(sources, result.source);
+            if (!sources.empty()) {
+              self->fetch_object(std::move(sources), hops, std::move(k),
+                                 transport_failure);
+              return;
+            }
+          }
+          k(std::nullopt, transport_failure);
+        };
+    proxy_->fetcher_->fetch_from_best(proxy_->self_, std::move(sources),
+                                      std::move(request), sink, exec_,
+                                      std::move(done));
   }
 
-  void finish_fetch(FetchSink& sink, const net::Address& location,
-                    std::size_t hops, net::HttpResponse head,
-                    const std::function<void(std::optional<Entry>, bool)>& k) {
+  /// Settle one race: retire the transit this fetch published and return
+  /// the verified entry (nullopt on an error head, a mid-body death or a
+  /// verification failure).
+  std::optional<Entry> finish_fetch(FetchSink& sink,
+                                    const net::Address& source,
+                                    std::size_t hops, net::HttpResponse head) {
     CacheShard& shard = proxy_->shard_for(host_);
     // Retire the transit from the shard map (if this fetch published one
     // and it was not replaced by a competing fetch) and resolve its end
@@ -985,11 +906,10 @@ private:
     };
 
     if (!head.ok()) {
-      // Either the upstream answered non-2xx, or the transport synthesized
+      // Either every source answered non-2xx, or the transport synthesized
       // a failure — possibly *after* body delivery began (mid-body death).
       retire(/*failed=*/true);
-      k(std::nullopt, head.status >= 500);
-      return;
+      return std::nullopt;
     }
     if (hops == 0) {
       // Sibling transfers stay inside the cache tier — only true upstream
@@ -1004,7 +924,7 @@ private:
     entry.content_type =
         head.headers.get("Content-Type").value_or("text/plain");
     entry.etag = head.headers.get("ETag").value_or("");
-    entry.fetched_from = location;
+    entry.fetched_from = source;  // where a revalidation should go back to
     entry.stored_at_ms = proxy_->net_->now_ms();
     entry.metadata = ContentMetadata::from_headers(head.headers);
 
@@ -1013,8 +933,7 @@ private:
           verify_content(*entry.metadata, sink.digest()) != VerifyResult::Ok) {
         ++proxy_->stats_.verification_failures;
         retire(/*failed=*/true);
-        k(std::nullopt, false);
-        return;
+        return std::nullopt;
       }
     }
     // The entry shares the transit's chunks — admission costs reference
@@ -1025,7 +944,7 @@ private:
       entry.body = transit->chunks;
     }
     retire(/*failed=*/false);
-    k(std::move(entry), false);
+    return entry;
   }
 
   /// Admit a verified entry and answer the client. A cancelled request
@@ -1065,7 +984,6 @@ private:
   std::string stale_etag_;
   net::Address stale_fetched_from_;
   std::vector<std::string> stale_mirrors_;  ///< metalink mirrors of the stale copy
-  net::Address multi_failed_source_;  ///< spent by the race; ladder skips it
 
   std::size_t peer_index_ = 0;
   std::vector<net::Address> holders_;
@@ -1075,8 +993,6 @@ private:
   int resolver_hop_ = 0;
   bool resolve_failed_ = false;
   std::vector<std::string> locations_;
-  std::size_t location_index_ = 0;
-  bool fetch_failed_ = false;
 
   bool settled_ = false;
   bool cancelled_ = false;

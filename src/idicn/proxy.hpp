@@ -4,14 +4,15 @@
 // request (absolute-form target, classic proxy semantics):
 //   * a fresh cached copy is served immediately (step 7, X-Cache: HIT);
 //   * otherwise an idICN name is resolved through the NRS (step 3,
-//     following one level of P-delegation), fetched from a
-//     location/mirror (step 4), VERIFIED against the self-certifying name
-//     (the proxy-authenticates-content deployment mode of §6.1), cached,
-//     and served (X-Cache: MISS);
+//     following one level of P-delegation), fetched from the best
+//     location/mirror (step 4) through the MultiSourceFetcher, VERIFIED
+//     against the self-certifying name (the proxy-authenticates-content
+//     deployment mode of §6.1), cached, and served (X-Cache: MISS);
 //   * legacy hosts are resolved through DNS and forwarded transparently —
 //     idICN leaves the existing web intact.
-// Verification failures are never cached or served; the proxy falls back
-// to the next known location and answers 502 when none verifies.
+// Verification failures are never cached or served; the proxy races the
+// fetch again over the sources not yet proven bad and answers 502 when
+// none verifies.
 //
 // Degradation (DESIGN.md §"Failure model & degradation"): when every
 // upstream path fails at the transport/HTTP layer — NRS unreachable, all
@@ -25,9 +26,10 @@
 // Threading: handle_http / handle_http_async are safe to call from any
 // number of runtime::ServerGroup workers concurrently. The entire serving
 // flow is one continuation-passing state machine (FetchOp): every upstream
-// exchange — peer query, sibling redirect, NRS resolution, location fetch,
-// revalidation, legacy forward — goes through Transport::send_async /
-// send_streaming_async and parks until the executor resumes it, so a
+// exchange — peer query, NRS resolution, revalidation, legacy forward via
+// Transport::send_async, every object fetch (locations, sibling redirect,
+// direct refetch) via MultiSourceFetcher::fetch_from_best — parks until
+// the executor resumes it, so a
 // worker's event loop is never blocked on upstream I/O (a cache HIT on the
 // same worker keeps flowing while a MISS fetch is in flight). The
 // synchronous handle_http drives the identical machine with a null
@@ -143,15 +145,13 @@ public:
     /// Stale-hint damage control: at most this many directory candidates
     /// are tried per miss before falling through to the NRS/origin path.
     std::size_t sibling_fanout = 2;
-    /// Congestion-aware multi-source MISS path (DESIGN.md §13): when a
-    /// name resolves to ≥2 distinct sources (NRS rows, metalink mirrors
-    /// remembered from an expired copy, the stale copy's origin), the
-    /// fetch races through a runtime::MultiSourceFetcher — RTT-ranked
-    /// replica choice, hedged requests past the straggler threshold,
-    /// parallel range legs on large objects — with the serial location
-    /// ladder as fallback, so availability never regresses.
-    bool multi_source_fetch = true;
-    runtime::MultiSourceFetcher::Options fetch;  ///< fetcher tuning knobs
+    /// Tuning of the one upstream fetch path (DESIGN.md §13): every object
+    /// fetch — NRS locations plus the metalink mirrors and origin of an
+    /// expired copy, a sibling redirect, the NRS-outage direct refetch —
+    /// races through a runtime::MultiSourceFetcher (RTT-ranked replica
+    /// choice, hedged requests past the straggler threshold, parallel
+    /// range legs on large objects; one source is a race with no hedge).
+    runtime::MultiSourceFetcher::Options fetch;
   };
 
   Proxy(net::Transport* net, net::Address self, net::Address nrs,
@@ -209,8 +209,9 @@ public:
   void push_hints();
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  /// The congestion-aware multi-source fetch engine: hedging/range-split
-  /// counters and per-destination RTT snapshots for the bench exporters.
+  /// The fetch engine every object fetch goes through: fetch, hedging and
+  /// range-split counters and per-destination RTT snapshots for the bench
+  /// exporters.
   [[nodiscard]] runtime::MultiSourceFetcher& fetcher() noexcept {
     return *fetcher_;
   }

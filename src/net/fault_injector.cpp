@@ -123,8 +123,9 @@ void FaultInjector::stall(std::uint64_t delay_ms) const {
     latency_hook_(delay_ms);
     return;
   }
-  // Blocking on purpose: a slow upstream stalls SocketNet's blocking
-  // HttpClient exactly like this (SimNet callers install a latency hook).
+  // Blocking on purpose: a slow upstream stalls a synchronous send's
+  // caller exactly like this (SimNet callers install a latency hook; the
+  // async paths stall on the executor's timer instead).
   std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
 }
 

@@ -24,10 +24,11 @@
 //                   what idICN verification must catch).
 //   * CorruptBody — forward, then flip a byte of the response body.
 //
-// Latency is injected by blocking the calling thread by default (matching
-// how a slow upstream manifests to SocketNet's blocking HttpClient); tests
-// over SimNet install set_latency_hook() to advance the virtual clock
-// instead of sleeping.
+// On the synchronous send paths latency is injected by blocking the calling
+// thread (matching how a slow upstream manifests to a blocked caller); the
+// async paths defer on the executor's timer instead. Tests over SimNet
+// install set_latency_hook() to advance the virtual clock instead of
+// sleeping.
 #pragma once
 
 #include <cstdint>

@@ -65,9 +65,12 @@ using SendCallback = std::function<void(HttpResponse)>;
 /// Receiver side of a streaming fetch (send_streaming): the response head
 /// arrives first, then body bytes chunk by chunk as the wire produces
 /// them. Returning false from either callback cancels the transfer (the
-/// transport stops reading and tears the connection down). The sink's
-/// callbacks run on the sending thread, strictly ordered: one on_head,
-/// then zero or more on_chunk.
+/// transport stops reading and tears the connection down). The callbacks
+/// are strictly ordered — one on_head, then zero or more on_chunk — and
+/// run on the thread that drives the transfer: the executor's loop thread
+/// for an async send, the sending thread for a message-oriented transport
+/// (SimNet). A socket transport's synchronous send_streaming runs them on
+/// the transport's own loop thread while the caller blocks.
 class ChunkSink {
 public:
   virtual ~ChunkSink() = default;

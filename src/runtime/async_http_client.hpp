@@ -2,15 +2,16 @@
 // keep-alive reuse, pipelined FIFO requests, incremental response decoding
 // with streaming body delivery, and timer-wheel connect/IO deadlines.
 //
-// This is the asynchronous counterpart of HttpClient — the half that lets
-// a proxy worker fetch from an upstream *without leaving its event loop*:
+// This is the runtime's one upstream HTTP client — the piece that lets a
+// proxy worker fetch from an upstream *without leaving its event loop*:
 // issue() returns immediately, the transfer proceeds via fd readiness
 // callbacks on the owning executor, and the completion (plus any streaming
-// sink callbacks) fires on the loop thread. Error strings, the
-// reconnect-once keep-alive race handling, the stale-connection probe, and
-// Connection: close handling all mirror HttpClient so the two paths stay
-// behaviorally interchangeable (the blocking client remains for off-loop
-// callers: tests, benches, the trace driver).
+// sink callbacks) fires on the loop thread. SocketNet pools these per
+// executor, including the loop that carries its synchronous sends. Error
+// strings, the reconnect-once keep-alive race handling, the
+// stale-connection probe, and Connection: close handling mirror the
+// blocking HttpClient the tests and testbed::Driver use as a load
+// generator.
 //
 // Ownership: an AsyncHttpClient is confined to its executor's loop thread.
 // The `role_` thread role is the static ownership domain — every mutating

@@ -1,7 +1,9 @@
 // Blocking HTTP/1.1 client for one endpoint: keep-alive connection reuse,
 // incremental response decoding, send/receive timeouts. This is the
-// caller-side counterpart of HostServer — load generators, examples, and
-// SocketNet all speak through it.
+// single-connection load generator of the tests, benches and
+// testbed::Driver — a "browser" pointed at a HostServer. The runtime's own
+// upstream traffic does not use it: SocketNet carries every Transport send
+// (synchronous ones included) over AsyncHttpClient.
 #pragma once
 
 #include <cstdint>

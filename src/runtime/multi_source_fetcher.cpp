@@ -76,7 +76,8 @@ struct MultiFetchState : std::enable_shared_from_this<MultiFetchState> {
   std::size_t leg_cursor = 0;   ///< round-robin source cursor for legs
 
   void start_race();
-  void start_attempt(std::size_t source_index, bool is_hedge);
+  void start_attempt(std::size_t source_index, bool is_hedge,
+                     bool gated = true);
   void maybe_arm_hedge();
   void on_hedge_timer();
   bool on_attempt_head(std::size_t idx, const net::HttpResponse& head);
@@ -164,13 +165,18 @@ void MultiFetchState::start_race() {
                 ranked.size() >= 2 && request.method == "GET" &&
                 !request.headers.contains("Range");
   tried.assign(ranked.size(), false);
-  const std::size_t primary = fetcher->pick_primary(ranked);
-  leg_cursor = (primary + 1) % ranked.size();
-  start_attempt(primary, /*is_hedge=*/false);
+  // Every breaker open: dial the best anyway as the last resort — the
+  // transport's own breaker decides whether that fast-fails, and a fetch
+  // with a dialable source is never refused outright.
+  const std::optional<std::size_t> primary = fetcher->pick_primary(ranked);
+  leg_cursor = (primary.value_or(0) + 1) % ranked.size();
+  start_attempt(primary.value_or(0), /*is_hedge=*/false,
+                /*gated=*/primary.has_value());
   maybe_arm_hedge();
 }
 
-void MultiFetchState::start_attempt(std::size_t source_index, bool is_hedge) {
+void MultiFetchState::start_attempt(std::size_t source_index, bool is_hedge,
+                                    bool gated) {
   const std::size_t idx = attempts.size();
   Attempt attempt;
   attempt.to = ranked[source_index];
@@ -180,7 +186,7 @@ void MultiFetchState::start_attempt(std::size_t source_index, bool is_hedge) {
   attempts.push_back(attempt);
   tried[source_index] = true;
 
-  if (!fetcher->gate(attempt.to)) {
+  if (gated && !fetcher->gate(attempt.to)) {
     // Breaker fast-fail: nothing dialed, no timeout burned. Complete the
     // attempt synthetically so the normal ladder picks the next source.
     attempts[idx].denied = true;
@@ -711,7 +717,7 @@ MultiSourceFetcher::DestState& MultiSourceFetcher::dest_locked(
   return *it->second;
 }
 
-std::size_t MultiSourceFetcher::pick_primary(
+std::optional<std::size_t> MultiSourceFetcher::pick_primary(
     const std::vector<net::Address>& ranked) {
   const std::uint64_t now = net_->now_ms();
   const MutexLock lock(mutex_);
@@ -732,7 +738,7 @@ std::size_t MultiSourceFetcher::pick_primary(
       return i;
     }
   }
-  return 0;  // every breaker open: dial the best anyway as the last resort
+  return std::nullopt;  // every breaker open
 }
 
 std::optional<std::size_t> MultiSourceFetcher::pick_hedge(

@@ -186,10 +186,11 @@ class MultiSourceFetcher {
   DestState& dest_locked(const net::Address& address) IDICN_REQUIRES(mutex_);
 
   // Selection helpers for the fetch state machine. pick_primary admits the
-  // best non-open source (preferring window capacity, counting deferrals);
-  // pick_hedge/pick_leg_source gate extra aggression on capacity.
-  std::size_t pick_primary(const std::vector<net::Address>& ranked)
-      IDICN_EXCLUDES(mutex_);
+  // best non-open source (preferring window capacity, counting deferrals;
+  // nullopt when every breaker is open); pick_hedge/pick_leg_source gate
+  // extra aggression on capacity.
+  std::optional<std::size_t> pick_primary(
+      const std::vector<net::Address>& ranked) IDICN_EXCLUDES(mutex_);
   std::optional<std::size_t> pick_hedge(const std::vector<net::Address>& ranked,
                                         const std::vector<bool>& tried)
       IDICN_EXCLUDES(mutex_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "runtime/server_group.hpp"
 
@@ -27,34 +28,17 @@ std::optional<std::uint64_t> parse_retry_after_ms(std::string_view value) {
   return seconds * 1000;
 }
 
-namespace {
-
-/// Wraps the caller's sink to record whether anything was delivered —
-/// the retry loop must stop replaying attempts once the sink saw a head.
-class DeliveryTrackingSink final : public net::ChunkSink {
-public:
-  DeliveryTrackingSink(net::ChunkSink& inner, bool* delivered)
-      : inner_(inner), delivered_(delivered) {}
-
-  bool on_head(const net::HttpResponse& head) override {
-    *delivered_ = true;
-    return inner_.on_head(head);
-  }
-  bool on_chunk(core::Chunk chunk) override {
-    return inner_.on_chunk(std::move(chunk));
-  }
-
-private:
-  net::ChunkSink& inner_;
-  bool* delivered_;
-};
-
-}  // namespace
-
 SocketNet::SocketNet(Options options)
     : options_(options),
       retry_policy_(options.retry),
       retry_budget_(options.budget) {}
+
+SocketNet::~SocketNet() {
+  // No synchronous send is in flight by contract, so nothing races these.
+  if (sync_loop_ == nullptr) return;
+  sync_loop_->stop();
+  sync_thread_.join();
+}
 
 void SocketNet::register_endpoint(const net::Address& address, std::string host,
                                   std::uint16_t port) {
@@ -62,8 +46,6 @@ void SocketNet::register_endpoint(const net::Address& address, std::string host,
   Endpoint& endpoint = endpoints_[address];
   endpoint.host = std::move(host);
   endpoint.port = port;
-  endpoint.idle.clear();
-  endpoint.async_idle.clear();
 }
 
 void SocketNet::register_endpoint(const ServerGroup& server) {
@@ -84,38 +66,6 @@ void SocketNet::join_group(const net::Address& address, const std::string& group
   }
 }
 
-std::unique_ptr<HttpClient> SocketNet::borrow(const net::Address& to) {
-  const core::sync::MutexLock lock(mutex_);
-  const auto it = endpoints_.find(to);
-  if (it == endpoints_.end()) return nullptr;
-  Endpoint& endpoint = it->second;
-  while (!endpoint.idle.empty()) {
-    auto client = std::move(endpoint.idle.back());
-    endpoint.idle.pop_back();
-    // The peer may have closed (or written into) this connection while it
-    // sat pooled — reusing it would either fail the round trip or, worse,
-    // decode stale buffered bytes as the next response. Probe and discard.
-    // idicn-analysis: allow(lock-across-io): MSG_PEEK|MSG_DONTWAIT probe never waits
-    if (client->stale_connection()) {
-      ++stats_.stale_pool_drops;
-      continue;
-    }
-    return client;
-  }
-  ++stats_.connections_opened;
-  return std::make_unique<HttpClient>(endpoint.host, endpoint.port,
-                                      options_.client);
-}
-
-void SocketNet::give_back(const net::Address& to,
-                          std::unique_ptr<HttpClient> client) {
-  const core::sync::MutexLock lock(mutex_);
-  const auto it = endpoints_.find(to);
-  // Drop the connection when the endpoint moved while we were using it.
-  if (it == endpoints_.end() || it->second.port != client->port()) return;
-  it->second.idle.push_back(std::move(client));
-}
-
 std::shared_ptr<CircuitBreaker> SocketNet::breaker_for(const net::Address& to) {
   const core::sync::MutexLock lock(mutex_);
   auto& breaker = breakers_[to];
@@ -125,32 +75,59 @@ std::shared_ptr<CircuitBreaker> SocketNet::breaker_for(const net::Address& to) {
   return breaker;
 }
 
-std::optional<net::HttpResponse> SocketNet::attempt(
-    const net::Address& to, const net::HttpRequest& request,
-    std::string* error) {
-  auto client = borrow(to);
-  if (client == nullptr) {
-    *error = "unknown destination";
-    return std::nullopt;
+net::HttpResponse SocketNet::run_blocking(
+    std::function<void(net::Executor*, net::SendCallback)> start) {
+  EventLoop* loop = nullptr;
+  {
+    const core::sync::MutexLock lock(mutex_);
+    if (sync_loop_ == nullptr) {
+      sync_loop_ = std::make_unique<EventLoop>();
+      sync_thread_ = core::sync::Thread([loop = sync_loop_.get()] { loop->run(); });
+    } else if (sync_thread_.get_id() == std::this_thread::get_id()) {
+      // A sink callback of a synchronous streaming send: waiting here would
+      // wait on this very thread.
+      ++stats_.requests_sent;
+      ++stats_.send_failures;
+      return net::make_response(504, "synchronous send from the transport loop");
+    }
+    loop = sync_loop_.get();
   }
-  auto response = client->request(request, error);
-  if (!response) return std::nullopt;
-  give_back(to, std::move(client));
-  return response;
+  // Shared with the completion, which may still be unlocking the mutex
+  // when this thread wakes and returns.
+  struct Rendezvous {
+    core::sync::Mutex mutex;
+    core::sync::CondVar cv;
+    std::optional<net::HttpResponse> response IDICN_GUARDED_BY(mutex);
+  };
+  auto rendezvous = std::make_shared<Rendezvous>();
+  loop->post([loop, rendezvous, start = std::move(start)] {
+    start(loop, [loop, rendezvous](net::HttpResponse response) {
+      // Wake the caller only after this loop turn: the completion runs
+      // inside the client that fired it, and the caller may drop pooled
+      // clients (register_endpoint) the moment it wakes.
+      loop->post([rendezvous, response = std::move(response)]() mutable {
+        const core::sync::MutexLock lock(rendezvous->mutex);
+        rendezvous->response = std::move(response);
+        rendezvous->cv.notify_one();
+      });
+    });
+  });
+  const core::sync::MutexLock lock(rendezvous->mutex);
+  while (!rendezvous->response) rendezvous->cv.wait(rendezvous->mutex);
+  return std::move(*rendezvous->response);
 }
 
-std::optional<net::HttpResponse> SocketNet::attempt_streaming(
-    const net::Address& to, const net::HttpRequest& request,
-    net::ChunkSink& sink, bool* delivered, std::string* error) {
-  auto client = borrow(to);
-  if (client == nullptr) {
-    *error = "unknown destination";
-    return std::nullopt;
-  }
-  DeliveryTrackingSink tracking(sink, delivered);
-  auto response = client->request_streaming(request, tracking, error);
-  if (!response) return std::nullopt;
-  give_back(to, std::move(client));
+net::HttpResponse SocketNet::send(const net::Address& from, const net::Address& to,
+                                  const net::HttpRequest& request) {
+  net::HttpResponse response = run_blocking(
+      [this, from, to, request](net::Executor* exec, net::SendCallback done) {
+        send_async(from, to, request, exec, std::move(done));
+      });
+  // The body was allocated on the loop thread, in its malloc arena. Callers
+  // may keep it for good (a reverse proxy admits every object it
+  // publishes), and long-lived bodies interleaved with the loop's transient
+  // buffers fragment that arena: copy it into this thread's own memory.
+  response.body = std::string(response.body);
   return response;
 }
 
@@ -158,136 +135,13 @@ net::HttpResponse SocketNet::send_streaming(const net::Address& from,
                                             const net::Address& to,
                                             const net::HttpRequest& request,
                                             net::ChunkSink& sink) {
-  (void)from;
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.requests_sent;
-    if (endpoints_.find(to) == endpoints_.end()) {
-      ++stats_.send_failures;
-      return net::make_response(504, "unknown destination: " + to);
-    }
-  }
-
-  std::shared_ptr<CircuitBreaker> breaker;
-  if (options_.enable_breakers) {
-    breaker = breaker_for(to);
-    if (!breaker->allow(now_ms())) {
-      const std::uint64_t wait_ms = breaker->retry_after_ms(now_ms());
-      {
-        const core::sync::MutexLock lock(mutex_);
-        ++stats_.breaker_fast_fails;
-        ++stats_.send_failures;
-      }
-      auto response =
-          net::make_response(503, "circuit open for " + to + "; fast-fail");
-      response.headers.set("Retry-After", retry_after_seconds(wait_ms));
-      return response;
-    }
-  }
-
-  retry_budget_.on_attempt();
-  const std::uint64_t started_ms = now_ms();
-  const int max_attempts =
-      options_.enable_retries ? std::max(1, options_.retry.max_attempts) : 1;
-  bool delivered = false;
-  std::string error;
-  for (int attempt = 1;; ++attempt) {
-    auto response =
-        attempt_streaming(to, request, sink, &delivered, &error);
-    if (response) {
-      if (breaker != nullptr) breaker->record_success(now_ms());
-      return *response;
-    }
-    if (breaker != nullptr) breaker->record_failure(now_ms());
-    // Once the sink has seen the head, a retry would deliver the body
-    // prefix twice — the failure must surface to the caller instead.
-    if (delivered) break;
-    if (attempt >= max_attempts) break;
-    if (breaker != nullptr &&
-        breaker->state(now_ms()) == CircuitBreaker::State::Open) {
-      break;
-    }
-    const std::uint64_t delay_ms = retry_policy_.backoff_delay_ms(attempt);
-    if (!retry_policy_.within_deadline(now_ms() - started_ms, delay_ms)) break;
-    if (!retry_budget_.try_spend()) break;
-    {
-      const core::sync::MutexLock lock(mutex_);
-      ++stats_.retries;
-    }
-    RetryPolicy::sleep(delay_ms);
-  }
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.send_failures;
-  }
-  return net::make_response(504, "upstream " + to + " unreachable: " + error);
-}
-
-net::HttpResponse SocketNet::send(const net::Address& from, const net::Address& to,
-                                  const net::HttpRequest& request) {
-  (void)from;  // the TCP peer address is what the receiving server reports
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.requests_sent;
-    // Unknown destinations are a wiring error, not upstream ill health:
-    // fail immediately, no breaker accounting, no retries.
-    if (endpoints_.find(to) == endpoints_.end()) {
-      ++stats_.send_failures;
-      return net::make_response(504, "unknown destination: " + to);
-    }
-  }
-
-  std::shared_ptr<CircuitBreaker> breaker;
-  if (options_.enable_breakers) {
-    breaker = breaker_for(to);
-    if (!breaker->allow(now_ms())) {
-      const std::uint64_t wait_ms = breaker->retry_after_ms(now_ms());
-      {
-        const core::sync::MutexLock lock(mutex_);
-        ++stats_.breaker_fast_fails;
-        ++stats_.send_failures;
-      }
-      auto response =
-          net::make_response(503, "circuit open for " + to + "; fast-fail");
-      response.headers.set("Retry-After", retry_after_seconds(wait_ms));
-      return response;
-    }
-  }
-
-  retry_budget_.on_attempt();
-  const std::uint64_t started_ms = now_ms();
-  const int max_attempts =
-      options_.enable_retries ? std::max(1, options_.retry.max_attempts) : 1;
-  std::string error;
-  for (int attempt = 1;; ++attempt) {
-    auto response = this->attempt(to, request, &error);
-    if (response) {
-      if (breaker != nullptr) breaker->record_success(now_ms());
-      return *response;
-    }
-    if (breaker != nullptr) breaker->record_failure(now_ms());
-    if (attempt >= max_attempts) break;
-    // A breaker that opened on this failure wins over further retries —
-    // the destination is down, stop dialing. (Observer only: allow() could
-    // reserve a half-open probe slot we might never report an outcome for.)
-    if (breaker != nullptr &&
-        breaker->state(now_ms()) == CircuitBreaker::State::Open) {
-      break;
-    }
-    const std::uint64_t delay_ms = retry_policy_.backoff_delay_ms(attempt);
-    if (!retry_policy_.within_deadline(now_ms() - started_ms, delay_ms)) break;
-    if (!retry_budget_.try_spend()) break;
-    {
-      const core::sync::MutexLock lock(mutex_);
-      ++stats_.retries;
-    }
-    RetryPolicy::sleep(delay_ms);
-  }
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.send_failures;
-  }
-  return net::make_response(504, "upstream " + to + " unreachable: " + error);
+  // Non-owning: the caller's sink outlives the blocking call, and no sink
+  // callback fires after the completion.
+  std::shared_ptr<net::ChunkSink> borrowed(&sink, [](net::ChunkSink*) {});
+  return run_blocking([this, from, to, request, borrowed](
+                          net::Executor* exec, net::SendCallback done) {
+    send_streaming_async(from, to, request, borrowed, exec, std::move(done));
+  });
 }
 
 std::vector<net::HttpResponse> SocketNet::multicast(const net::Address& from,
@@ -337,8 +191,8 @@ struct SocketNet::AsyncSendState {
 
 namespace {
 
-/// Async twin of DeliveryTrackingSink: flips the state's delivered flag on
-/// the head so the retry ladder stops replaying into the caller's sink.
+/// Flips the state's delivered flag on the head so the retry ladder stops
+/// replaying into the caller's sink.
 class AsyncTrackingSink final : public net::ChunkSink {
 public:
   explicit AsyncTrackingSink(std::shared_ptr<SocketNet::AsyncSendState> state)
@@ -355,6 +209,15 @@ public:
 private:
   std::shared_ptr<SocketNet::AsyncSendState> state_;
 };
+
+/// Destroy a client that will not be pooled. Completions run inside the
+/// client that fires them and it touches itself after they return, so it
+/// dies on a later turn of its loop, never from its own completion.
+void retire(net::Executor& exec, std::unique_ptr<AsyncHttpClient> client) {
+  if (client == nullptr) return;
+  std::shared_ptr<AsyncHttpClient> spent(std::move(client));
+  exec.schedule(0, [spent] {});
+}
 
 }  // namespace
 
@@ -434,8 +297,7 @@ void SocketNet::start_async_send(std::shared_ptr<AsyncSendState> state) {
 
   retry_budget_.on_attempt();
   state->started_ms = now_ms();
-  state->max_attempts =
-      options_.enable_retries ? std::max(1, options_.retry.max_attempts) : 1;
+  state->max_attempts = std::max(1, options_.retry.max_attempts);
   async_attempt(std::move(state));
 }
 
@@ -500,10 +362,9 @@ void SocketNet::finish_async_attempt(std::shared_ptr<AsyncSendState> state,
     state->done(std::move(*head));
     return;
   }
-  state->client.reset();  // a failed connection is never pooled
+  retire(*state->exec, std::move(state->client));  // failed: never pooled
   if (state->breaker != nullptr) state->breaker->record_failure(now_ms());
 
-  // The same ladder as the blocking envelope, in the same order.
   bool give_up = false;
   // Once the sink has seen the head, a retry would deliver the body prefix
   // twice — the failure must surface to the caller instead.
@@ -547,37 +408,44 @@ std::unique_ptr<AsyncHttpClient> SocketNet::borrow_async(const net::Address& to,
   const core::sync::MutexLock lock(mutex_);
   const auto it = endpoints_.find(to);
   if (it == endpoints_.end()) return nullptr;
-  Endpoint& endpoint = it->second;
-  auto& pool = endpoint.async_idle[exec];
+  const Endpoint& endpoint = it->second;
+  auto& pool = idle_[{to, exec}];
   while (!pool.empty()) {
     auto client = std::move(pool.back());
     pool.pop_back();
-    // Same borrow-time staleness check as the blocking pool: a pooled
-    // connection the peer closed (or wrote into) while idle must be
-    // discarded, not reused.
+    // Dialed before the destination was re-registered on a new port.
+    if (client->port() != endpoint.port) {
+      retire(*exec, std::move(client));
+      continue;
+    }
+    // The peer may have closed (or written into) this connection while it
+    // sat pooled — reusing it would either fail the round trip or, worse,
+    // decode stale buffered bytes as the next response. Probe and discard.
     // idicn-analysis: allow(lock-across-io): MSG_PEEK|MSG_DONTWAIT probe never waits
     if (client->stale_connection()) {
       ++stats_.stale_pool_drops;
+      retire(*exec, std::move(client));
       continue;
     }
     return client;
   }
   ++stats_.connections_opened;
-  AsyncHttpClient::Options client_options;
-  client_options.connect_timeout_ms = options_.client.connect_timeout_ms;
-  client_options.io_timeout_ms = options_.client.io_timeout_ms;
   return std::make_unique<AsyncHttpClient>(exec, endpoint.host, endpoint.port,
-                                           client_options);
+                                           options_.client);
 }
 
 void SocketNet::give_back_async(const net::Address& to, net::Executor* exec,
                                 std::unique_ptr<AsyncHttpClient> client) {
-  if (client == nullptr || !client->idle()) return;
-  const core::sync::MutexLock lock(mutex_);
-  const auto it = endpoints_.find(to);
-  // Drop the connection when the endpoint moved while we were using it.
-  if (it == endpoints_.end() || it->second.port != client->port()) return;
-  it->second.async_idle[exec].push_back(std::move(client));
+  if (client != nullptr && client->idle()) {
+    const core::sync::MutexLock lock(mutex_);
+    const auto it = endpoints_.find(to);
+    // Drop the connection when the endpoint moved while we were using it.
+    if (it != endpoints_.end() && it->second.port == client->port()) {
+      idle_[{to, exec}].push_back(std::move(client));
+      return;
+    }
+  }
+  retire(*exec, std::move(client));
 }
 
 SocketNet::Stats SocketNet::stats() const {

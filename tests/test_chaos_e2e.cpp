@@ -514,6 +514,43 @@ TEST(ChaosE2e, ConcurrentClientsSurviveOriginFlaps) {
             runtime::CircuitBreaker::State::Closed);
 }
 
+TEST(ChaosE2e, TruncatedRaceWinnerFallsBackToTheOtherLocation) {
+  // Two NRS locations for one name; the race winner's body is cut short on
+  // the wire. Its bytes fail verification, so the proxy races again over
+  // the location not yet proven bad and still serves the authentic body.
+  Proxy::Options popt = ChaosDeployment::proxy_options(/*freshness_ms=*/60'000,
+                                                       /*shards=*/2);
+  popt.fetch.hedging_enabled = false;  // rp.pub (ranked first) is the winner
+  ChaosDeployment d(/*freshness_ms=*/60'000, /*with_peer=*/false,
+                    /*proxy_workers=*/2, /*with_second_rp=*/true, popt);
+  const std::string body = "replicated " + std::string(8192, 'r');
+  const auto name = d.publish_replicated("twice", body);
+
+  net::FaultInjector::Rule cut;
+  cut.to = "rp.pub";
+  cut.kind = net::FaultInjector::FaultKind::TruncateBody;
+  cut.truncate_at = body.size() / 2;
+  d.faulty.add_rule(cut);
+
+  runtime::HttpClient browser("127.0.0.1", d.proxy_server->port());
+  std::string error;
+  const auto response = browser.get(url_of(name), &error);
+  ASSERT_TRUE(response.has_value()) << error;
+  EXPECT_EQ(response->status, 200);
+  EXPECT_EQ(response->body, body);
+  EXPECT_EQ(response->headers.get(kSourceHeader), "rp2.pub");
+  EXPECT_EQ(d.faulty.stats().truncations, 1u);
+  EXPECT_EQ(d.proxy.stats().verification_failures, 1u);
+  // The race, then the re-race without the proven-bad winner.
+  EXPECT_EQ(d.proxy.fetcher().stats().fetches, 2u);
+
+  // Only the authentic copy was admitted.
+  const auto hit = browser.get(url_of(name), &error);
+  ASSERT_TRUE(hit.has_value()) << error;
+  EXPECT_EQ(hit->headers.get("X-Cache"), "HIT");
+  EXPECT_EQ(hit->body, body);
+}
+
 /// Order statistic over request latencies: index ⌈0.99·n⌉−1 of the sorted
 /// samples (the same convention RttEstimator::quantile_us uses).
 std::uint64_t p99_of(std::vector<std::uint64_t> samples) {
@@ -537,7 +574,6 @@ struct TailRun {
 void run_latency_ramp_sweep(bool hedging, int objects, TailRun* out) {
   Proxy::Options popt = ChaosDeployment::proxy_options(/*freshness_ms=*/60'000,
                                                        /*shards=*/2);
-  popt.multi_source_fetch = true;
   popt.fetch.hedging_enabled = hedging;
   // Well above the healthy RTT, far below the injected stall: the timer
   // only fires for genuine stragglers, never for the healthy replica.

@@ -294,6 +294,23 @@ TEST(FaultInjector, TruncatedBodyFailsVerification) {
   EXPECT_EQ(d.faulty.stats().truncations, 1u);
 }
 
+TEST(ProxyFetchPath, SingleLocationMissRacesThroughTheFetcher) {
+  // One fetch path: even a name with one location (and a null executor,
+  // so every hop completes inline) is fetched by the MultiSourceFetcher —
+  // a one-source race with no hedge.
+  FaultyDeployment d;
+  const auto name = d.publish("page", "one location");
+  const auto miss = d.get(name);
+  ASSERT_EQ(miss.status, 200);
+  EXPECT_EQ(miss.full_body(), "one location");
+  EXPECT_EQ(d.proxy.fetcher().stats().fetches, 1u);
+  EXPECT_EQ(d.proxy.fetcher().stats().hedges_sent, 0u);
+
+  const auto hit = d.get(name);
+  EXPECT_EQ(hit.headers.get("X-Cache"), "HIT");
+  EXPECT_EQ(d.proxy.fetcher().stats().fetches, 1u);  // a HIT fetches nothing
+}
+
 TEST(ServeStale, UpstreamOutageServesExpiredEntryWithWarning) {
   Proxy::Options options;
   options.freshness_ms = 1;  // expires as soon as the clock moves
@@ -325,6 +342,40 @@ TEST(ServeStale, UpstreamOutageServesExpiredEntryWithWarning) {
   const auto recovered = d.get(name);
   EXPECT_EQ(recovered.status, 200);
   EXPECT_FALSE(recovered.headers.get("X-IdICN-Stale").has_value());
+}
+
+TEST(ServeStale, DeadSingleLocationKeepsServingStalePastTheFetcherBreaker) {
+  // The only location dies behind an expired entry. Every MISS fails at the
+  // transport layer — also once the fetcher's breaker for the location has
+  // opened — so each one degrades to the stale copy instead of a 502.
+  Proxy::Options options;
+  options.freshness_ms = 1;
+  FaultyDeployment d(options);
+  d.net.set_default_latency_ms(5);
+  const auto name = d.publish("page", "still good");
+  ASSERT_EQ(d.get(name).status, 200);
+
+  net::FaultInjector::Rule rp_down;
+  rp_down.to = "rp.pub";
+  d.faulty.add_rule(rp_down);
+  const int misses = options.fetch.breaker.failure_threshold + 3;
+  for (int i = 0; i < misses; ++i) {
+    (void)d.net.send("tick", "origin.pub", net::HttpRequest{});  // expire
+    const auto degraded = d.get(name);
+    EXPECT_EQ(degraded.status, 200) << "MISS " << i;
+    EXPECT_EQ(degraded.full_body(), "still good");
+    EXPECT_EQ(degraded.headers.get("X-IdICN-Stale"), "1");
+  }
+  EXPECT_EQ(d.proxy.stats().stale_served, static_cast<std::uint64_t>(misses));
+  EXPECT_EQ(d.proxy.fetcher().stats().fetches,
+            static_cast<std::uint64_t>(misses) + 1);
+  bool breaker_open = false;
+  for (const auto& source : d.proxy.fetcher().snapshot()) {
+    if (source.address == "rp.pub") {
+      breaker_open = source.breaker == runtime::CircuitBreaker::State::Open;
+    }
+  }
+  EXPECT_TRUE(breaker_open);
 }
 
 TEST(ServeStale, NrsOutageRefetchesDirectlyFromLastSource) {

@@ -6,7 +6,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -38,6 +41,17 @@ TEST(TimerWheel, FiresAtDeadlineNotBefore) {
   EXPECT_EQ(fired, 1);
   wheel.advance_to(1000);
   EXPECT_EQ(fired, 1);  // one-shot
+}
+
+TEST(TimerWheel, ZeroDelayOnATickBoundaryFiresOnTheNextTick) {
+  // Regression: a deadline in the current tick (a zero-jitter retry backoff
+  // scheduled exactly on a tick boundary) landed in the bucket advance_to()
+  // had already passed and fired a whole revolution (640 ms here) late.
+  TimerWheel wheel(10, 64, 0);
+  int fired = 0;
+  wheel.schedule(0, [&] { ++fired; });
+  wheel.advance_to(10);
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(TimerWheel, CancelPreventsFiring) {
@@ -542,7 +556,9 @@ TEST(SocketNet, UnknownDestinationIs504) {
 }
 
 TEST(SocketNet, DeadEndpointIs504) {
-  SocketNet socket_net(HttpClient::Options{200, 200});
+  SocketNet::Options options;
+  options.client = {200, 200};
+  SocketNet socket_net(options);
   socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
   net::HttpRequest request;
   const auto response = socket_net.send("a", "dead.svc", request);
@@ -570,6 +586,136 @@ TEST(SocketNet, MulticastFansOutToGroup) {
   EXPECT_EQ(host_b.requests_, 1u);
   server_a.stop();
   server_b.stop();
+}
+
+/// Serves a 256 KiB body whose bytes are a hash of their own offset, so a
+/// streamed copy with a lost, repeated or reordered chunk cannot match.
+class BulkHost : public net::SimHost {
+public:
+  static std::string body() {
+    std::string bytes(256 * 1024, '\0');
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<char>((i * 2654435761u) >> 24);
+    }
+    return bytes;
+  }
+  net::HttpResponse handle_http(const net::HttpRequest&,
+                                const net::Address&) override {
+    return net::make_response(200, body());
+  }
+};
+
+/// Threads of this process, as the kernel lists them.
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(SocketNet, ConcurrentSyncSendsToOneEndpointEachGetTheirOwnBody) {
+  EchoHost host;
+  HostServer server(&host, "echo.svc");
+  server.start();
+  SocketNet socket_net;
+  socket_net.register_endpoint(server);
+
+  constexpr int kThreads = 4;
+  constexpr int kSendsPerThread = 25;
+  std::atomic<int> wrong{0};
+  {
+    std::vector<core::sync::Thread> senders;
+    for (int t = 0; t < kThreads; ++t) {
+      senders.emplace_back([&, t] {
+        for (int i = 0; i < kSendsPerThread; ++i) {
+          net::HttpRequest request;
+          request.target = "/t" + std::to_string(t) + "/" + std::to_string(i);
+          const auto response = socket_net.send("caller", "echo.svc", request);
+          if (response.status != 200 ||
+              response.full_body() != "echo:" + request.target) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+  }  // all senders joined
+  constexpr std::uint64_t kTotal = kThreads * kSendsPerThread;
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(socket_net.stats().requests_sent, kTotal);
+  EXPECT_EQ(socket_net.stats().send_failures, 0u);
+  EXPECT_EQ(host.requests_, kTotal);
+  server.stop();
+}
+
+TEST(SocketNet, SyncStreamingSendDeliversOneHeadThenChunksInOrder) {
+  BulkHost host;
+  HostServer server(&host, "bulk.svc");
+  server.start();
+  SocketNet socket_net;
+  socket_net.register_endpoint(server);
+
+  class RecordingSink final : public net::ChunkSink {
+  public:
+    bool on_head(const net::HttpResponse& head) override {
+      ++heads;
+      if (chunks > 0) chunk_before_head = true;
+      status = head.status;
+      return true;
+    }
+    bool on_chunk(core::Chunk chunk) override {
+      if (heads == 0) chunk_before_head = true;
+      ++chunks;
+      body.append(chunk.view());
+      return true;
+    }
+    int heads = 0;
+    int chunks = 0;
+    int status = 0;
+    bool chunk_before_head = false;
+    std::string body;
+  } sink;
+
+  const auto head =
+      socket_net.send_streaming("caller", "bulk.svc", net::HttpRequest{}, sink);
+  EXPECT_EQ(head.status, 200);
+  EXPECT_EQ(sink.heads, 1);
+  EXPECT_EQ(sink.status, 200);
+  EXPECT_FALSE(sink.chunk_before_head);
+  EXPECT_GE(sink.chunks, 1);
+
+  const auto buffered = socket_net.send("caller", "bulk.svc", net::HttpRequest{});
+  ASSERT_EQ(buffered.status, 200);
+  EXPECT_EQ(sink.body, buffered.full_body());
+  EXPECT_EQ(sink.body, BulkHost::body());
+  server.stop();
+}
+
+TEST(SocketNet, DestructorJoinsTheSyncSendLoopThread) {
+  EchoHost host;
+  HostServer server(&host, "echo.svc");
+  server.start();
+  const std::size_t before = live_threads();
+  {
+    SocketNet socket_net;
+    socket_net.register_endpoint(server);
+    EXPECT_EQ(live_threads(), before);  // the loop starts on the first sync send
+    EXPECT_EQ(socket_net.send("caller", "echo.svc", net::HttpRequest{}).status,
+              200);
+    EXPECT_EQ(live_threads(), before + 1);
+    EXPECT_EQ(socket_net.send("caller", "echo.svc", net::HttpRequest{}).status,
+              200);
+    EXPECT_EQ(live_threads(), before + 1);  // one loop for every sync send
+  }
+  // join() returns once the thread has exited; the kernel can still list
+  // its task for a moment after that.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (live_threads() > before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(live_threads(), before);
+  server.stop();
 }
 
 TEST(SocketNet, NowMsAdvances) {
@@ -671,7 +817,7 @@ TEST(SocketNet, StalePooledConnectionIsDetectedAndRedialed) {
   HostServer server(&host, "svc", server_options);
   server.start();
   SocketNet::Options options;
-  options.enable_retries = false;  // isolate the probe from the retry layer
+  options.retry.max_attempts = 1;  // isolate the probe from the retry layer
   SocketNet socket_net(options);
   socket_net.register_endpoint(server);
 
@@ -720,7 +866,7 @@ TEST(SocketNet, UnknownDestinationIsNeverRetried) {
 TEST(SocketNet, BreakerOpensAndFastFailsWithRetryAfter) {
   SocketNet::Options options;
   options.client.connect_timeout_ms = 100;
-  options.enable_retries = false;
+  options.retry.max_attempts = 1;
   options.breaker.failure_threshold = 2;
   options.breaker.open_ms = 30'000;  // stays open for the whole test
   SocketNet socket_net(options);
@@ -740,7 +886,7 @@ TEST(SocketNet, BreakerOpensAndFastFailsWithRetryAfter) {
 TEST(SocketNet, BreakerHalfOpensProbesAndRecloses) {
   SocketNet::Options options;
   options.client.connect_timeout_ms = 100;
-  options.enable_retries = false;
+  options.retry.max_attempts = 1;
   options.breaker.failure_threshold = 1;
   options.breaker.open_ms = 100;
   SocketNet socket_net(options);

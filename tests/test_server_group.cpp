@@ -322,21 +322,31 @@ TEST(ServerGroup, RunOnAllWorkersGetsExclusiveAccessWhileServing) {
   ServerGroup group(&host, "greet.test", options);
   const std::uint16_t port = group.start();
 
+  constexpr int kClients = 3;
   std::atomic<bool> running{true};
   std::atomic<int> bad_bodies{0};
+  std::atomic<int> clients_served{0};  ///< clients past their first request
   std::vector<core::sync::Thread> clients;
-  for (int c = 0; c < 3; ++c) {
+  for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
       HttpClient client("127.0.0.1", port);
+      bool first = true;
       while (running.load(std::memory_order_relaxed)) {
         const auto response = client.get("/greet");
         if (!response || response->status != 200 ||
             response->body.size() < 2 || response->body[0] != 'v') {
           bad_bodies.fetch_add(1);
         }
+        if (first) {
+          first = false;
+          clients_served.fetch_add(1);
+        }
       }
     });
   }
+  // Live traffic first: under a loaded scheduler the generations below
+  // could otherwise all finish before any client completes a request.
+  while (clients_served.load() < kClients) std::this_thread::yield();
 
   // Ten generations of a non-atomic mutation, interleaved with live
   // traffic: every parked-workers window must be exclusive.

@@ -16,8 +16,9 @@ three enforced properties:
                    definition annotated IDICN_REQUIRES(<...role...>)) may
                    transitively reach a blocking call: sleeps, process
                    spawns, synchronous connect/HTTP-client traffic, condvar
-                   waits, RetryPolicy::sleep. This is the transitive form
-                   of the PR 7 sibling counter-fetch stall (DESIGN.md §11).
+                   waits (how a synchronous SocketNet send blocks). This
+                   is the transitive form of the sibling counter-fetch
+                   stall (DESIGN.md §11).
   lock-across-io   No MutexLock may be live in scope at a call that
                    performs (or transitively reaches) network I/O — the
                    "snapshot → revalidate unlocked → re-lock" invariant
@@ -67,7 +68,6 @@ BLOCKING_NAMES = frozenset({
 #: Project functions that are blocking by contract even though their
 #: terminal names are not in BLOCKING_NAMES (suffix-matched, `::`-separated).
 BLOCKING_PROJECT_SUFFIXES = (
-    "RetryPolicy::sleep",
     "HttpClient::request",
     "HttpClient::request_streaming",
     "HttpClient::ensure_connected",

@@ -236,6 +236,35 @@ class RuleTest(unittest.TestCase):
         sinks = {f.sink for f in findings}
         self.assertIn("sleep", sinks)
 
+    def test_sync_send_bridge_is_loop_blocking(self):
+        # A synchronous send built as "post the async op to a loop, then
+        # wait on a condvar" blocks its caller like any blocking client: a
+        # loop-role handler that reaches it must be reported.
+        g = graph_of(("""
+            namespace idicn::runtime {
+            HttpResponse SocketNet::send(const Address& to,
+                                         const HttpRequest& request) {
+              sync_loop_->post([=] { send_async(to, request, exec, done); });
+              core::sync::MutexLock lock(rendezvous->mutex);
+              while (!rendezvous->response) {
+                rendezvous->cv.wait(rendezvous->mutex);
+              }
+              return *rendezvous->response;
+            }
+            struct Worker {
+              void on_readable(int fd) IDICN_REQUIRES(loop_role_) {
+                net_->send(peer_, request_);
+              }
+            };
+            }
+        """, "socket_net.cpp"))
+        findings = callgraph.check_loop_blocking(g)
+        self.assertEqual([(f.function, f.sink) for f in findings],
+                         [("idicn::runtime::SocketNet::send", "wait")])
+        self.assertEqual(findings[0].path, (
+            "idicn::runtime::Worker::on_readable",
+            "idicn::runtime::SocketNet::send"))
+
     def test_hot_path_transitive_allocation(self):
         g = graph_of(("""
             namespace idicn {

@@ -145,8 +145,8 @@ class HedgeTimerTest(unittest.TestCase):
         self.assertNotIn("hedge-timer", rules_of(findings))
 
     def test_retry_sleep_keeps_its_off_loop_seat(self):
-        # retry.cpp's RetryPolicy::sleep is the documented off-loop wait;
-        # the hedge-timer rule must not claim it.
+        # retry.cpp is not a fetch policy file; the hedge-timer rule must
+        # not claim it.
         findings = check_file(Path("src/runtime/retry.cpp"),
                               "deadline - std::chrono::steady_clock::now();\n")
         self.assertNotIn("hedge-timer", rules_of(findings))
