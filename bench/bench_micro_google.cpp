@@ -1,14 +1,17 @@
 // Google-benchmark microbenchmarks for the hot primitives: cache policies,
-// Zipf sampling, SHA-256/signatures, nearest-replica queries, and the
-// simulator's end-to-end request rate.
+// Zipf sampling, SHA-256 (dispatched and portable), signatures and their
+// header codec, nearest-replica queries, and the simulator's end-to-end
+// request rate.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <random>
 
 #include "cache/cache.hpp"
 #include "core/experiment.hpp"
 #include "crypto/lamport.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_internal.hpp"
 #include "topology/pop_topology.hpp"
 #include "workload/zipf.hpp"
 
@@ -54,7 +57,21 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(32 << 10)->Arg(65536)->Arg(1 << 20);
+
+// The portable FIPS 180-4 compression (the tests' oracle) over the same
+// whole blocks, whatever Sha256 dispatches to on this CPU.
+void BM_Sha256Portable(benchmark::State& state) {
+  const std::string message(static_cast<std::size_t>(state.range(0)), 'x');
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(message.data());
+  for (auto _ : state) {
+    std::array<std::uint32_t, 8> words{};
+    crypto::detail::sha256_compress_portable(words.data(), bytes, message.size() / 64);
+    benchmark::DoNotOptimize(words);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(1024)->Arg(32 << 10)->Arg(1 << 20);
 
 void BM_MerkleSign(benchmark::State& state) {
   crypto::MerkleSigner signer(11, 12);  // 4096 signatures available
@@ -76,6 +93,28 @@ void BM_MerkleVerify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MerkleVerify);
+
+// The X-IdICN-Signature header codec: ~49 KB of hex per height-4 signature.
+void BM_MerkleSignatureEncode(benchmark::State& state) {
+  crypto::MerkleSigner signer(13, 4);
+  const crypto::MerkleSignature signature = signer.sign("benchmark message");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(signature.encode());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MerkleSignatureEncode);
+
+void BM_MerkleSignatureDecode(benchmark::State& state) {
+  crypto::MerkleSigner signer(14, 4);
+  const std::string header = signer.sign("benchmark message").encode();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::MerkleSignature::decode(header));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(header.size()));
+}
+BENCHMARK(BM_MerkleSignatureDecode);
 
 void BM_SimulatorRequestRate(benchmark::State& state) {
   const topology::HierarchicalNetwork network(topology::make_topology("Sprint"),

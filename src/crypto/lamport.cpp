@@ -1,8 +1,11 @@
 #include "crypto/lamport.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <random>
 #include <stdexcept>
+#include <type_traits>
 
 #include "crypto/hex.hpp"
 
@@ -27,6 +30,16 @@ Sha256Digest hash_pair(const Sha256Digest& left, const Sha256Digest& right) {
   return h.finish();
 }
 
+/// The bytes of a (nested) digest array, in the order the serializations
+/// concatenate them.
+template <typename DigestArray>
+auto bytes_of(DigestArray& digests) {
+  static_assert(sizeof(DigestArray) % sizeof(Sha256Digest) == 0, "digests only, no padding");
+  using Byte = std::conditional_t<std::is_const_v<DigestArray>, const std::uint8_t,
+                                  std::uint8_t>;
+  return std::span<Byte>(reinterpret_cast<Byte*>(digests.data()), sizeof(DigestArray));
+}
+
 /// Extract bit `i` (MSB-first within each byte) of a digest.
 bool digest_bit(const Sha256Digest& d, std::size_t i) {
   return (d[i / 8] >> (7 - i % 8)) & 1;
@@ -35,28 +48,15 @@ bool digest_bit(const Sha256Digest& d, std::size_t i) {
 }  // namespace
 
 std::vector<std::uint8_t> LamportPublicKey::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(256 * 2 * 32);
-  for (const auto& pair : pairs) {
-    for (const auto& digest : pair) {
-      out.insert(out.end(), digest.begin(), digest.end());
-    }
-  }
-  return out;
+  const auto bytes = bytes_of(pairs);
+  return {bytes.begin(), bytes.end()};
 }
 
-Sha256Digest LamportPublicKey::fingerprint() const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  return Sha256::hash(std::span<const std::uint8_t>(bytes));
-}
+Sha256Digest LamportPublicKey::fingerprint() const { return Sha256::hash(bytes_of(pairs)); }
 
 std::vector<std::uint8_t> LamportSignature::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(256 * 32);
-  for (const auto& digest : revealed) {
-    out.insert(out.end(), digest.begin(), digest.end());
-  }
-  return out;
+  const auto bytes = bytes_of(revealed);
+  return {bytes.begin(), bytes.end()};
 }
 
 std::optional<LamportSignature> LamportSignature::deserialize(
@@ -108,15 +108,27 @@ bool lamport_verify(const LamportPublicKey& key, std::string_view message,
 // ---------------------------------------------------------------------------
 
 std::string MerkleSignature::encode() const {
-  std::string out = std::to_string(leaf_index);
-  out.push_back(':');
-  out += hex_encode(ots_public_key.serialize());
-  out.push_back(':');
-  out += hex_encode(ots_signature.serialize());
-  out.push_back(':');
+  std::array<char, 10> index{};
+  const std::size_t index_len = static_cast<std::size_t>(
+      std::to_chars(index.data(), index.data() + index.size(), leaf_index).ptr - index.data());
+  const auto key = bytes_of(ots_public_key.pairs);
+  const auto ots = bytes_of(ots_signature.revealed);
+  const std::size_t path_len = auth_path.empty() ? 0 : auth_path.size() * 65 - 1;
+
+  // "<index>:<key hex>:<signature hex>:<path hex>,<path hex>,..."
+  std::string out(index_len + 1 + 2 * key.size() + 1 + 2 * ots.size() + 1 + path_len, ':');
+  char* at = std::copy_n(index.data(), index_len, out.data()) + 1;
+  const auto put_hex = [&at](std::span<const std::uint8_t> bytes) {
+    hex_encode_into(bytes, {at, 2 * bytes.size()});
+    at += 2 * bytes.size();
+  };
+  put_hex(key);
+  ++at;
+  put_hex(ots);
+  ++at;
   for (std::size_t i = 0; i < auth_path.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += hex_encode(std::span<const std::uint8_t>(auth_path[i]));
+    if (i > 0) *at++ = ',';
+    put_hex(auth_path[i]);
   }
   return out;
 }
@@ -142,23 +154,13 @@ std::optional<MerkleSignature> MerkleSignature::decode(std::string_view text) {
   sig.leaf_index = index;
 
   const auto key_field = take_field();
-  if (!key_field) return std::nullopt;
-  const auto key_bytes = hex_decode(*key_field);
-  if (!key_bytes || key_bytes->size() != 256 * 2 * 32) return std::nullopt;
-  for (std::size_t i = 0; i < 256; ++i) {
-    for (std::size_t b = 0; b < 2; ++b) {
-      std::memcpy(sig.ots_public_key.pairs[i][b].data(),
-                  key_bytes->data() + (i * 2 + b) * 32, 32);
-    }
+  if (!key_field || !hex_decode_into(*key_field, bytes_of(sig.ots_public_key.pairs))) {
+    return std::nullopt;
   }
-
   const auto sig_field = take_field();
-  if (!sig_field) return std::nullopt;
-  const auto sig_bytes = hex_decode(*sig_field);
-  if (!sig_bytes) return std::nullopt;
-  const auto ots = LamportSignature::deserialize(std::span<const std::uint8_t>(*sig_bytes));
-  if (!ots) return std::nullopt;
-  sig.ots_signature = *ots;
+  if (!sig_field || !hex_decode_into(*sig_field, bytes_of(sig.ots_signature.revealed))) {
+    return std::nullopt;
+  }
 
   // Remainder: comma-separated auth path (may be empty for height-0 trees).
   while (!text.empty()) {
@@ -166,10 +168,8 @@ std::optional<MerkleSignature> MerkleSignature::decode(std::string_view text) {
     const std::string_view item =
         pos == std::string_view::npos ? text : text.substr(0, pos);
     text.remove_prefix(pos == std::string_view::npos ? text.size() : pos + 1);
-    const auto bytes = hex_decode(item);
-    if (!bytes || bytes->size() != 32) return std::nullopt;
     Sha256Digest d{};
-    std::memcpy(d.data(), bytes->data(), 32);
+    if (!hex_decode_into(item, d)) return std::nullopt;
     sig.auth_path.push_back(d);
   }
   return sig;

@@ -3,8 +3,10 @@
 // idICN's self-certifying names (§6.1 of the paper) bind a content label L
 // to the cryptographic hash P of a publisher's public key, and the Metalink
 // metadata carries content digests. Both need a real hash function; this is
-// a dependency-free, byte-oriented implementation with an incremental
-// streaming interface.
+// a dependency-free implementation with an incremental streaming interface.
+// Whole blocks go to a compression function picked once per process by
+// CPUID: the SHA-NI instructions where the CPU has them, else the portable
+// FIPS 180-4 code, which is also the tests' oracle (sha256_internal.hpp).
 #pragma once
 
 #include <array>
@@ -48,8 +50,6 @@ public:
   [[nodiscard]] static Sha256Digest hash(std::string_view data) noexcept;
 
 private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

@@ -1,17 +1,13 @@
 #include "idicn/metalink.hpp"
 
-#include <cstring>
-
 #include "crypto/hex.hpp"
 
 namespace idicn::idicn {
 namespace {
 
 std::optional<crypto::Sha256Digest> digest_from_hex(std::string_view hex) {
-  const auto bytes = crypto::hex_decode(hex);
-  if (!bytes || bytes->size() != 32) return std::nullopt;
   crypto::Sha256Digest d{};
-  std::memcpy(d.data(), bytes->data(), 32);
+  if (!crypto::hex_decode_into(hex, d)) return std::nullopt;
   return d;
 }
 

@@ -1,8 +1,12 @@
-// Crypto substrate tests: SHA-256 against FIPS vectors, hex/base32 codecs,
-// HMAC against RFC 4231, Lamport and Merkle signatures incl. forgery and
-// tamper rejection.
+// Crypto substrate tests: SHA-256 against FIPS vectors (both compression
+// paths, differentially against the portable oracle), hex/base32 codecs incl.
+// strict rejection, HMAC against RFC 4231, Lamport and Merkle signatures
+// incl. forgery and tamper rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <random>
 
 #include "crypto/base32.hpp"
@@ -10,6 +14,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/lamport.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_internal.hpp"
 
 namespace {
 
@@ -46,10 +51,12 @@ TEST(Sha256, MillionA) {
 }
 
 TEST(Sha256, ExactBlockBoundary) {
-  // 64 bytes: padding spills into a second block.
-  const std::string message(64, 'x');
-  EXPECT_EQ(Sha256::hash(message), Sha256::hash(message));
-  EXPECT_NE(hex_of(Sha256::hash(message)), hex_of(Sha256::hash(std::string(63, 'x'))));
+  // 64 bytes: padding spills into a second block; 63 bytes: the 0x80 byte
+  // fits but the length does not.
+  EXPECT_EQ(hex_of(Sha256::hash(std::string(64, 'x'))),
+            "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c");
+  EXPECT_EQ(hex_of(Sha256::hash(std::string(63, 'x'))),
+            "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2");
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
@@ -90,6 +97,107 @@ INSTANTIATE_TEST_SUITE_P(PaddingBoundaries, Sha256LengthSweep,
                          ::testing::Values(0, 1, 55, 56, 57, 63, 64, 65, 119, 120,
                                            127, 128, 129, 1000));
 
+// --- SHA-256 compression paths: SHA-NI against the portable oracle ---------
+
+/// SHA-256 of `message` computed with one compression function directly:
+/// full blocks go in batches of 1..4 blocks (drawn from `rng`), then the
+/// FIPS 180-4 padding.
+Sha256Digest digest_with(detail::Sha256Compress compress, std::string_view message,
+                         std::mt19937_64& rng) {
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(message.data());
+  std::size_t blocks = message.size() / 64;
+  while (blocks > 0) {
+    const std::size_t batch = std::min<std::size_t>(blocks, 1 + rng() % 4);
+    compress(state.data(), bytes, batch);
+    bytes += batch * 64;
+    blocks -= batch;
+  }
+  std::array<std::uint8_t, 128> tail{};
+  const std::size_t rest = message.size() % 64;
+  std::copy_n(bytes, rest, tail.begin());
+  tail[rest] = 0x80;
+  const std::size_t tail_len = rest < 56 ? 64 : 128;
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[tail_len - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  compress(state.data(), tail.data(), tail_len / 64);
+  Sha256Digest out{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+struct NistVector {
+  std::string message;
+  const char* digest;
+};
+
+std::vector<NistVector> nist_vectors() {
+  return {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+/// Random 0..4 KB messages, each hashed with `compress` directly and
+/// streamed through Sha256 in random update() pieces (the way ChunkedBody
+/// bodies arrive), checked against the portable oracle.
+void expect_matches_oracle(detail::Sha256Compress compress) {
+  std::mt19937_64 rng(2024);
+  for (int round = 0; round < 400; ++round) {
+    std::string message(rng() % 4097, '\0');
+    for (char& c : message) c = static_cast<char>(rng());
+    const Sha256Digest oracle = digest_with(detail::sha256_compress_portable, message, rng);
+    EXPECT_EQ(digest_with(compress, message, rng), oracle) << "length " << message.size();
+
+    Sha256 streamed;
+    std::string_view rest(message);
+    while (!rest.empty()) {
+      const std::size_t piece = std::min<std::size_t>(rest.size(), rng() % 300);
+      streamed.update(rest.substr(0, piece));
+      rest.remove_prefix(piece);
+    }
+    EXPECT_EQ(streamed.finish(), oracle) << "length " << message.size();
+  }
+}
+
+TEST(Sha256Oracle, PortableMatchesNistVectors) {
+  std::mt19937_64 rng(1);
+  for (const NistVector& v : nist_vectors()) {
+    EXPECT_EQ(hex_of(digest_with(detail::sha256_compress_portable, v.message, rng)), v.digest)
+        << "length " << v.message.size();
+  }
+}
+
+TEST(Sha256Oracle, ShaNiMatchesNistVectors) {
+  if (!detail::sha256_shani_supported()) GTEST_SKIP() << "CPU has no SHA-NI";
+  std::mt19937_64 rng(1);
+  for (const NistVector& v : nist_vectors()) {
+    EXPECT_EQ(hex_of(digest_with(detail::sha256_compress_shani, v.message, rng)), v.digest)
+        << "length " << v.message.size();
+  }
+}
+
+TEST(Sha256Oracle, PortableStreamingMatchesOracle) {
+  expect_matches_oracle(detail::sha256_compress_portable);
+}
+
+TEST(Sha256Oracle, ShaNiMatchesPortableOnRandomSplits) {
+  if (!detail::sha256_shani_supported()) GTEST_SKIP() << "CPU has no SHA-NI";
+  expect_matches_oracle(detail::sha256_compress_shani);
+}
+
 // --- hex ---------------------------------------------------------------
 
 TEST(Hex, EncodeDecodeRoundtrip) {
@@ -110,6 +218,43 @@ TEST(Hex, DecodeRejectsOddLength) { EXPECT_FALSE(hex_decode("abc").has_value());
 TEST(Hex, DecodeRejectsNonHex) {
   EXPECT_FALSE(hex_decode("zz").has_value());
   EXPECT_FALSE(hex_decode("0g").has_value());
+}
+
+TEST(Hex, DecodeRejectsEveryNonHexByteAtEveryPosition) {
+  const std::string_view valid = "0123456789abcdefABCDEF00";
+  std::array<std::uint8_t, 12> out{};
+  ASSERT_TRUE(hex_decode_into(valid, out));
+  for (int value = 0; value < 256; ++value) {
+    const char c = static_cast<char>(value);
+    if (std::isxdigit(static_cast<unsigned char>(c))) continue;
+    for (const std::size_t position : {std::size_t{0}, valid.size() / 2 - 1, valid.size() - 1}) {
+      std::string text(valid);
+      text[position] = c;
+      EXPECT_FALSE(hex_decode(text).has_value()) << "byte " << value << " at " << position;
+      EXPECT_FALSE(hex_decode_into(text, out)) << "byte " << value << " at " << position;
+    }
+  }
+}
+
+TEST(Hex, DecodeIntoRejectsWrongOutputSize) {
+  std::array<std::uint8_t, 3> out{};
+  EXPECT_FALSE(hex_decode_into("abcd", out));        // too short for the buffer
+  EXPECT_FALSE(hex_decode_into("abcdef01", out));    // too long for the buffer
+  EXPECT_FALSE(hex_decode_into("abcde", out));       // odd length
+  EXPECT_FALSE(hex_decode_into("abcdef0", out));     // odd length
+  EXPECT_TRUE(hex_decode_into("abcdef", out));
+  EXPECT_EQ(out, (std::array<std::uint8_t, 3>{0xab, 0xcd, 0xef}));
+  EXPECT_TRUE(hex_decode_into("", std::span<std::uint8_t>()));
+}
+
+TEST(Hex, EncodeIntoMatchesEncodeAndChecksSize) {
+  const std::array<std::uint8_t, 4> data = {0x00, 0x7f, 0x80, 0xff};
+  std::array<char, 8> out{};
+  ASSERT_TRUE(hex_encode_into(data, out));
+  EXPECT_EQ(std::string(out.begin(), out.end()), "007f80ff");
+  EXPECT_EQ(hex_encode(data), "007f80ff");
+  std::array<char, 7> short_out{};
+  EXPECT_FALSE(hex_encode_into(data, short_out));
 }
 
 TEST(Hex, DecodeAcceptsUppercase) {
@@ -245,6 +390,13 @@ TEST(Lamport, DeserializeRejectsBadSize) {
   EXPECT_FALSE(LamportSignature::deserialize(std::vector<std::uint8_t>(100)).has_value());
 }
 
+TEST(Lamport, FingerprintHashesTheSerialization) {
+  const LamportKeyPair kp = lamport_keygen(11);
+  const std::vector<std::uint8_t> bytes = kp.pub.serialize();
+  ASSERT_EQ(bytes.size(), 256u * 2 * 32);
+  EXPECT_EQ(kp.pub.fingerprint(), Sha256::hash(std::span<const std::uint8_t>(bytes)));
+}
+
 TEST(Lamport, KeygenIsDeterministic) {
   EXPECT_EQ(lamport_keygen(123).pub, lamport_keygen(123).pub);
   EXPECT_NE(lamport_keygen(123).pub, lamport_keygen(124).pub);
@@ -299,11 +451,48 @@ TEST(Merkle, RejectsLeafIndexSubstitution) {
 
 TEST(Merkle, EncodeDecodeRoundtrip) {
   MerkleSigner signer(18, 3);
+  (void)signer.sign("skip leaf 0");
   const MerkleSignature sig = signer.sign("roundtrip me");
-  const auto decoded = MerkleSignature::decode(sig.encode());
+  const std::string encoded = sig.encode();
+  const auto decoded = MerkleSignature::decode(encoded);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->leaf_index, sig.leaf_index);
+  EXPECT_EQ(decoded->ots_public_key, sig.ots_public_key);
+  EXPECT_EQ(decoded->ots_signature.revealed, sig.ots_signature.revealed);
+  EXPECT_EQ(decoded->auth_path, sig.auth_path);
+  EXPECT_EQ(decoded->encode(), encoded);
   EXPECT_TRUE(MerkleSigner::verify(signer.root(), "roundtrip me", *decoded));
+}
+
+TEST(Merkle, EncodeLayoutIsIndexKeySignaturePath) {
+  MerkleSigner signer(20, 2);
+  const MerkleSignature sig = signer.sign("layout");
+  const std::string expected =
+      std::to_string(sig.leaf_index) + ":" + hex_encode(sig.ots_public_key.serialize()) + ":" +
+      hex_encode(sig.ots_signature.serialize()) + ":" +
+      hex_encode(std::span<const std::uint8_t>(sig.auth_path[0])) + "," +
+      hex_encode(std::span<const std::uint8_t>(sig.auth_path[1]));
+  EXPECT_EQ(sig.encode(), expected);
+}
+
+TEST(Merkle, DecodeRejectsOneNonHexCharacterInAnyField) {
+  MerkleSigner signer(21, 3);
+  const std::string encoded = signer.sign("strict").encode();
+  const std::size_t key_start = encoded.find(':') + 1;
+  const std::size_t sig_start = encoded.find(':', key_start) + 1;
+  const std::size_t path_start = encoded.find(':', sig_start) + 1;
+  const std::size_t second_path = encoded.find(',', path_start) + 1;
+  ASSERT_TRUE(MerkleSignature::decode(encoded).has_value());
+  for (const std::size_t position :
+       {key_start, key_start + 1000, sig_start - 2, sig_start, sig_start + 777, path_start - 2,
+        path_start, second_path + 31, encoded.size() - 1}) {
+    for (const char bad : {'g', 'G', 'x', ' ', '\0', '\xff'}) {
+      std::string corrupt = encoded;
+      corrupt[position] = bad;
+      EXPECT_FALSE(MerkleSignature::decode(corrupt).has_value())
+          << "char " << static_cast<int>(bad) << " at " << position;
+    }
+  }
 }
 
 TEST(Merkle, DecodeRejectsGarbage) {

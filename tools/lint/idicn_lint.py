@@ -68,6 +68,13 @@ Rules
                file — a capability nothing is annotated against guards
                nothing the analysis can see, i.e. un-annotated mutable
                shared state.
+  isa-intrinsics  Intrinsics headers (<immintrin.h> and the other
+               <*intrin.h>, <arm_neon.h>), <cpuid.h> and per-function ISA
+               targets (__attribute__((target(...))) / [[gnu::target]])
+               only in src/crypto/sha256.cpp, whose SHA-NI path is checked
+               against the portable FIPS 180-4 oracle it sits beside
+               (tests/test_crypto.cpp). No other file may grow an ISA fork
+               without such an oracle.
 
 Comments and string literals are stripped before matching, so prose
 mentioning std::mutex is fine; code using it is not.
@@ -124,6 +131,12 @@ HEDGE_TIMER_FILES = {
     Path("src/runtime/congestion_window.cpp"),
 }
 
+# The one file allowed an ISA-specific code path: SHA-256, dispatched by
+# CPUID, with the portable compression function as its test oracle.
+ISA_ALLOWED = {
+    Path("src/crypto/sha256.cpp"),
+}
+
 RAW_SYNC = re.compile(
     r"std::(?:mutex|recursive_mutex|recursive_timed_mutex|timed_mutex"
     r"|shared_mutex|shared_timed_mutex|condition_variable(?:_any)?"
@@ -146,6 +159,11 @@ RAW_CLOCK = re.compile(
     r"::now\b"
     r"|\b(?:clock_gettime|gettimeofday|timerfd_create|timerfd_settime"
     r"|setitimer|alarm)\s*\("
+)
+ISA_INTRINSICS = re.compile(
+    r"#\s*include\s*<(?:\w*intrin\.h|arm_neon\.h|cpuid\.h)>"
+    r"|\b__attribute__\s*\(\(\s*target\s*\("
+    r"|\bgnu::target\s*\("
 )
 PERF_MACRO = re.compile(r"\bIDICN_PERF_COUNTERS\b")
 IOSTREAM_PRINT = re.compile(r"std::(?:cout|cerr|clog)\b")
@@ -243,6 +261,11 @@ def check_file(rel: Path, text: str,
                    "IDICN_PERF_COUNTERS must not leak outside "
                    "core/perf_counters.hpp; branch on "
                    "`if constexpr (core::kPerfCountersEnabled)` instead")
+        if rel not in ISA_ALLOWED and ISA_INTRINSICS.search(line):
+            report(i, "isa-intrinsics",
+                   "ISA intrinsics, CPUID or a target attribute outside "
+                   "src/crypto/sha256.cpp; an ISA-specific path needs a "
+                   "portable oracle and a differential test beside it")
         if rel.parts[0] == "src" and IOSTREAM_PRINT.search(line):
             report(i, "iostream-in-src",
                    "no std::cout/cerr/clog in library code; report through "

@@ -169,6 +169,42 @@ class BodyCopyTest(unittest.TestCase):
         self.assertIn("body-copy", rules_of(findings))
 
 
+class IsaIntrinsicsTest(unittest.TestCase):
+    def test_intrinsics_allowed_in_sha256(self):
+        for rel in idicn_lint.ISA_ALLOWED:
+            findings = check_file(
+                rel,
+                "#include <cpuid.h>\n#include <immintrin.h>\n"
+                "__attribute__((target(\"sha,sse4.1,ssse3\"))) void f();\n")
+            self.assertEqual(findings, [])
+
+    def test_intrinsics_header_flagged_elsewhere(self):
+        for header in ("immintrin.h", "x86intrin.h", "cpuid.h", "arm_neon.h"):
+            findings = check_file(Path("src/crypto/hex.cpp"),
+                                  f"#include <{header}>\n")
+            self.assertEqual(rules_of(findings), ["isa-intrinsics"], header)
+
+    def test_target_attribute_flagged_elsewhere(self):
+        findings = check_file(
+            Path("src/net/http_decoder.cpp"),
+            "__attribute__((target(\"avx2\"))) void scan();\n"
+            "[[gnu::target(\"avx2\")]] void scan2();\n")
+        self.assertEqual(rules_of(findings),
+                         ["isa-intrinsics", "isa-intrinsics"])
+
+    def test_rule_covers_tests_and_benches(self):
+        findings = check_file(Path("bench/bench_micro_google.cpp"),
+                              "#include <immintrin.h>\n")
+        self.assertEqual(rules_of(findings), ["isa-intrinsics"])
+
+    def test_prose_and_internal_header_are_fine(self):
+        findings = check_file(
+            Path("tests/test_crypto.cpp"),
+            "// the SHA-NI path uses <immintrin.h>\n"
+            "#include \"crypto/sha256_internal.hpp\"\n")
+        self.assertEqual(findings, [])
+
+
 class UnguardedSyncTest(unittest.TestCase):
     def test_unreferenced_mutex_flagged(self):
         findings = check_file(Path("src/runtime/worker.cpp"),
