@@ -152,7 +152,6 @@ std::vector<std::unique_ptr<runtime::HttpClient>> connect_cover(
 /// closed-loop keep-alive clients for ~`seconds`.
 struct WindowResult {
   std::size_t workers = 1;
-  bool used_reuseport = false;
   double elapsed_s = 0.0;
   std::size_t requests = 0;
   std::uint64_t errors = 0;
@@ -190,7 +189,7 @@ WindowResult run_window(Proxy& proxy, runtime::SocketNet& net,
   std::vector<std::vector<std::unique_ptr<runtime::HttpClient>>> pools(
       static_cast<std::size_t>(client_count));
   for (auto& pool : pools) {
-    if (proxy_server.using_reuseport() && proxy_server.worker_count() > 1) {
+    if (proxy_server.worker_count() > 1) {
       pool = connect_cover(proxy_server, targets.front(),
                            proxy_server.worker_count());
     } else {
@@ -240,7 +239,6 @@ WindowResult run_window(Proxy& proxy, runtime::SocketNet& net,
 
   WindowResult result;
   result.workers = proxy_server.worker_count();
-  result.used_reuseport = proxy_server.using_reuseport();
   result.elapsed_s = elapsed_s;
 
   std::vector<std::uint64_t> all;
@@ -479,8 +477,7 @@ LatencyTailSweep run_latency_tail_sweep(runtime::SocketNet& net,
 }
 
 void print_window(const WindowResult& w) {
-  std::printf("  [%zu worker%s, %s]\n", w.workers, w.workers == 1 ? "" : "s",
-              w.used_reuseport ? "SO_REUSEPORT" : "single-acceptor");
+  std::printf("  [%zu worker%s]\n", w.workers, w.workers == 1 ? "" : "s");
   std::printf("    requests         %zu ok, %llu errors in %.2f s\n",
               w.requests, static_cast<unsigned long long>(w.errors),
               w.elapsed_s);
@@ -796,7 +793,7 @@ int main(int argc, char** argv) {
   char json[1536];
   std::snprintf(
       json, sizeof(json),
-      "{\"bench\":\"runtime_throughput\",\"workers\":%zu,\"reuseport\":%s,"
+      "{\"bench\":\"runtime_throughput\",\"workers\":%zu,"
       "\"clients\":%ld,\"seconds\":%.2f,\"requests\":%zu,\"errors\":%llu,"
       "\"req_per_s\":%.1f,\"gbps\":%.3f,\"single_worker_req_per_s\":%.1f,"
       "\"scaling_efficiency\":%.3f,\"per_worker_req_per_s\":%s,"
@@ -805,7 +802,7 @@ int main(int argc, char** argv) {
       "\"bytes_served\":%llu,"
       "\"retries\":%llu,\"breaker_fast_fails\":%llu,"
       "\"stale_served\":%llu,\"upstream_errors\":%llu}",
-      measured.workers, measured.used_reuseport ? "true" : "false",
+      measured.workers,
       client_count, measured.elapsed_s, measured.requests,
       static_cast<unsigned long long>(measured.errors + (baseline ? baseline->errors : 0)),
       measured.req_per_s, measured.gbps,

@@ -63,17 +63,17 @@ void AsyncHttpClient::issue(const net::HttpRequest& request,
   ++pending_ops_;
 
   if (!fd_.valid()) {
-    if (!connecting_) begin_connect();
+    begin_connect();  // queues the wire of every pending op, this one too
     return;
   }
-  if (connecting_) return;  // wire flushes when the connect completes
+  out_.append(ops_.back().wire);
+  if (connecting_) return;  // out_ flushes when the connect completes
   if (was_idle) {
     // A parked keep-alive connection: this batch is a reuse, eligible for
     // one transparent redial if the server idled it out under us.
     reused_ = true;
     replayed_ = false;
   }
-  out_.append(ops_.back().wire);
   set_interest(true, true);
   arm_io_deadline();
   flush_writes();
@@ -90,6 +90,7 @@ void AsyncHttpClient::begin_connect() IDICN_REQUIRES(role_) {
   out_offset_ = 0;
   for (const Op& op : ops_) out_.append(op.wire);
   decoder_.reset();
+  heads_undrained_ = 0;
   reused_ = false;
   connecting_ = true;
 
@@ -230,16 +231,17 @@ void AsyncHttpClient::drain_ready() IDICN_REQUIRES(role_) {
 
 void AsyncHttpClient::on_response_head(const net::HttpResponse& head)
     IDICN_REQUIRES(role_) {
-  if (ops_.empty()) return;  // unsolicited; the decoder drains into the void
-  Op& op = ops_.front();
+  const std::size_t index = heads_undrained_++;
+  if (index >= ops_.size()) return;  // unsolicited; drains into the void
+  Op& op = ops_[index];
   op.delivered = true;
   if (op.sink && !op.sink->on_head(head)) op.cancelled = true;
 }
 
 void AsyncHttpClient::on_response_chunk(core::Chunk chunk)
     IDICN_REQUIRES(role_) {
-  if (ops_.empty()) return;
-  Op& op = ops_.front();
+  if (heads_undrained_ == 0 || heads_undrained_ > ops_.size()) return;
+  Op& op = ops_[heads_undrained_ - 1];
   if (op.cancelled) return;  // decoder may still flush a staged slab
   if (op.sink) {
     if (!op.sink->on_chunk(std::move(chunk))) op.cancelled = true;
@@ -253,6 +255,7 @@ void AsyncHttpClient::complete_front(net::HttpResponse head)
   Op op = std::move(ops_.front());
   ops_.pop_front();
   --pending_ops_;
+  --heads_undrained_;
 
   if (op.cancelled) {
     std::deque<Op> rest;
@@ -274,7 +277,10 @@ void AsyncHttpClient::complete_front(net::HttpResponse head)
     }
   }
 
-  bool will_close = false;
+  // Bytes already decoded past the last pending op are unsolicited: the
+  // connection is not reusable, or they would answer the next request.
+  bool will_close =
+      ops_.empty() && (decoder_.ready() > 0 || decoder_.mid_message());
   if (const auto connection = head.headers.get("Connection");
       connection && net::detail::iequals(*connection, "close")) {
     will_close = true;
@@ -338,6 +344,7 @@ void AsyncHttpClient::close_connection() IDICN_REQUIRES(role_) {
   connecting_ = false;
   fd_.reset();
   decoder_.reset();
+  heads_undrained_ = 0;
 }
 
 void AsyncHttpClient::park_idle() IDICN_REQUIRES(role_) {

@@ -7,11 +7,9 @@
 // issue() returns immediately, the transfer proceeds via fd readiness
 // callbacks on the owning executor, and the completion (plus any streaming
 // sink callbacks) fires on the loop thread. SocketNet pools these per
-// executor, including the loop that carries its synchronous sends. Error
-// strings, the reconnect-once keep-alive race handling, the
-// stale-connection probe, and Connection: close handling mirror the
-// blocking HttpClient the tests and testbed::Driver use as a load
-// generator.
+// executor, including the loop that carries its synchronous sends. The
+// blocking HttpClient (the tests' and testbed::Driver's load generator) is
+// one of these on a private EventLoop that its caller pumps.
 //
 // Ownership: an AsyncHttpClient is confined to its executor's loop thread.
 // The `role_` thread role is the static ownership domain — every mutating
@@ -87,9 +85,12 @@ public:
   [[nodiscard]] bool connected() const noexcept { return fd_.valid(); }
   /// No ops in flight (the pool's precondition for parking/borrowing).
   [[nodiscard]] bool idle() const noexcept { return pending_ops_ == 0; }
-  /// Same MSG_PEEK probe as HttpClient::stale_connection: a kept-alive
-  /// connection with a pending FIN, error, or unsolicited bytes must be
-  /// redialed, not reused.
+  /// MSG_PEEK probe for a parked keep-alive connection: one with a pending
+  /// FIN, error, or unsolicited bytes (e.g. a server deadline response
+  /// that raced the reuse — those bytes would decode as the answer to the
+  /// *next* request) must be redialed, not reused. A disconnected client
+  /// is not stale: it dials fresh. SocketNet's pool and HttpClient both
+  /// probe before issuing on a kept-alive connection.
   [[nodiscard]] bool stale_connection() const noexcept;
 
   [[nodiscard]] std::uint64_t requests_sent() const noexcept {
@@ -148,6 +149,10 @@ private:
   net::HttpDecoder decoder_ IDICN_GUARDED_BY(role_){
       net::HttpDecoder::Mode::Response};
   std::deque<Op> ops_ IDICN_GUARDED_BY(role_);
+  /// Response heads the decoder delivered that complete_front has not
+  /// popped yet. One feed can finish a response and start the next, so the
+  /// stream hooks address ops_[heads_undrained_ - 1], not always the front.
+  std::size_t heads_undrained_ IDICN_GUARDED_BY(role_) = 0;
   std::size_t pending_ops_ = 0;  ///< ops_.size() mirror readable without the role
   net::Executor::TaskId connect_timer_ IDICN_GUARDED_BY(role_) = 0;
   bool connect_timer_armed_ IDICN_GUARDED_BY(role_) = false;

@@ -1,5 +1,6 @@
 #include "runtime/event_loop.hpp"
 
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -8,13 +9,28 @@
 #include "runtime/tcp.hpp"
 
 namespace idicn::runtime {
+namespace {
 
-EventLoop::EventLoop(PollerBackend backend) : poller_(make_poller(backend)) {
-  if (poller_ == nullptr) {
-    throw std::runtime_error("EventLoop: requested poller backend unavailable");
-  }
+/// Readiness slots per epoll_wait; more ready fds roll into the next call.
+constexpr int kMaxEvents = 128;
+
+epoll_event make_event(int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.data.fd = fd;
+  if (want_read) ev.events |= EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
+  return ev;
+}
+
+}  // namespace
+
+EventLoop::EventLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (epoll_fd_ < 0) throw std::runtime_error("EventLoop: epoll_create1 failed");
   int fds[2];
-  if (::pipe(fds) != 0) throw std::runtime_error("EventLoop: pipe failed");
+  if (::pipe(fds) != 0) {
+    ::close(epoll_fd_);
+    throw std::runtime_error("EventLoop: pipe failed");
+  }
   wake_read_fd_ = fds[0];
   wake_write_fd_ = fds[1];
   set_nonblocking(wake_read_fd_);
@@ -30,12 +46,14 @@ EventLoop::EventLoop(PollerBackend backend) : poller_(make_poller(backend)) {
 EventLoop::~EventLoop() {
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+  ::close(epoll_fd_);
 }
 
 bool EventLoop::watch(int fd, bool want_read, bool want_write, IoHandler handler) {
   assert_on_loop_thread();
   if (handlers_.count(fd) != 0) return false;
-  if (!poller_->add(fd, want_read, want_write)) return false;
+  epoll_event ev = make_event(fd, want_read, want_write);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
   handlers_[fd] = std::make_shared<IoHandler>(std::move(handler));
   return true;
 }
@@ -43,12 +61,15 @@ bool EventLoop::watch(int fd, bool want_read, bool want_write, IoHandler handler
 bool EventLoop::update(int fd, bool want_read, bool want_write) {
   assert_on_loop_thread();
   if (handlers_.count(fd) == 0) return false;
-  return poller_->modify(fd, want_read, want_write);
+  epoll_event ev = make_event(fd, want_read, want_write);
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0;
 }
 
 void EventLoop::unwatch(int fd) {
   assert_on_loop_thread();
-  if (handlers_.erase(fd) != 0) poller_->remove(fd);
+  if (handlers_.erase(fd) != 0) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  }
 }
 
 TimerWheel::TimerId EventLoop::add_timer(std::uint64_t delay_ms,
@@ -108,15 +129,19 @@ int EventLoop::next_timeout_ms(int cap_ms) const {
 
 void EventLoop::run_once(int timeout_ms) {
   assert_on_loop_thread();
-  ready_.clear();
-  poller_->wait(next_timeout_ms(timeout_ms), ready_);
+  epoll_event events[kMaxEvents];
+  const int n =
+      ::epoll_wait(epoll_fd_, events, kMaxEvents, next_timeout_ms(timeout_ms));
+  // n < 0 is EINTR (or a torn-down fd): dispatch nothing, run timers/tasks.
   // Look handlers up per event: an earlier handler in this batch may have
   // unwatched a later fd, in which case its event must be dropped.
-  for (const Ready& event : ready_) {
-    const auto it = handlers_.find(event.fd);
+  for (int i = 0; i < n; ++i) {
+    const auto it = handlers_.find(events[i].data.fd);
     if (it == handlers_.end()) continue;
+    const std::uint32_t mask = events[i].events;
     const std::shared_ptr<IoHandler> handler = it->second;  // keep alive
-    (*handler)(event.readable, event.writable, event.error);
+    (*handler)((mask & (EPOLLIN | EPOLLHUP)) != 0, (mask & EPOLLOUT) != 0,
+               (mask & (EPOLLERR | EPOLLHUP)) != 0);
   }
   timers_.advance_to(now_ms());
   drain_tasks();

@@ -1,5 +1,6 @@
-// Single-threaded event loop: readiness dispatch (epoll or poll backend) +
-// timer wheel + cross-thread task posting via a self-pipe.
+// Single-threaded event loop: epoll(7) readiness dispatch (level-triggered)
+// + timer wheel + cross-thread task posting via a self-pipe. The runtime is
+// Linux-only; the loop owns its epoll fd directly.
 //
 // One EventLoop per worker thread; all watch/update/unwatch/add_timer
 // calls must come from the loop thread (or while the loop is not running,
@@ -25,7 +26,6 @@
 
 #include "core/sync.hpp"
 #include "net/transport.hpp"
-#include "runtime/poller.hpp"
 #include "runtime/timer_wheel.hpp"
 
 namespace idicn::runtime {
@@ -36,7 +36,7 @@ class EventLoop : public net::Executor {
   /// the fd failed — the handler should unwatch and close.
   using IoHandler = std::function<void(bool readable, bool writable, bool error)>;
 
-  explicit EventLoop(PollerBackend backend = PollerBackend::Auto);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -76,7 +76,6 @@ class EventLoop : public net::Executor {
 
   /// Milliseconds on the steady clock (process-relative).
   [[nodiscard]] std::uint64_t now_ms() const;
-  [[nodiscard]] const char* backend_name() const { return poller_->name(); }
 
   // --- net::Executor (thin adapters; loop thread only, like the methods
   // they forward to) -----------------------------------------------------
@@ -104,10 +103,9 @@ class EventLoop : public net::Executor {
   /// loop-thread-only entry point.
   core::sync::ThreadRole loop_role_;
 
-  /// Set by the constructor, never reseated; mutating Poller calls (add/
-  /// modify/remove/wait) happen on the loop thread only, name() is
-  /// immutable and may be read from anywhere.
-  std::unique_ptr<Poller> poller_;
+  /// Set by the constructor, never reseated; epoll_ctl/epoll_wait on it
+  /// happen on the loop thread only.
+  int epoll_fd_ = -1;
   TimerWheel timers_ IDICN_GUARDED_BY(loop_role_);
   std::unordered_map<int, std::shared_ptr<IoHandler>> handlers_
       IDICN_GUARDED_BY(loop_role_);
@@ -116,8 +114,6 @@ class EventLoop : public net::Executor {
   int wake_write_fd_ = -1;  ///< written by the constructor only
   core::sync::Mutex tasks_mutex_;
   std::vector<std::function<void()>> tasks_ IDICN_GUARDED_BY(tasks_mutex_);
-  /// Scratch for wait(), reused across iterations.
-  std::vector<Ready> ready_ IDICN_GUARDED_BY(loop_role_);
 };
 
 }  // namespace idicn::runtime

@@ -1,31 +1,38 @@
-// Blocking HTTP/1.1 client for one endpoint: keep-alive connection reuse,
-// incremental response decoding, send/receive timeouts. This is the
-// single-connection load generator of the tests, benches and
-// testbed::Driver — a "browser" pointed at a HostServer. The runtime's own
-// upstream traffic does not use it: SocketNet carries every Transport send
-// (synchronous ones included) over AsyncHttpClient.
+// Blocking HTTP/1.1 client for one endpoint: the single-connection load
+// generator of the tests, benches and testbed::Driver — a "browser"
+// pointed at a HostServer. The runtime's own upstream traffic does not use
+// it: SocketNet carries every Transport send over pooled AsyncHttpClients.
+//
+// It is a shell over the one HTTP/1.1 client: a private EventLoop plus one
+// AsyncHttpClient on that loop. Each call issues the request and pumps the
+// loop on the caller's own thread (EventLoop::run_once) until the
+// completion fires, so keep-alive reuse, the reconnect-once race handling,
+// streaming delivery, Connection: close and the connect/IO deadlines are
+// AsyncHttpClient's — no extra thread, no second copy of the wire code.
+// Like any blocking call it must never run on an event-loop thread.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
-#include "net/http_decoder.hpp"
 #include "net/http_message.hpp"
 #include "net/transport.hpp"
-#include "runtime/tcp.hpp"
+#include "runtime/async_http_client.hpp"
+#include "runtime/event_loop.hpp"
 
 namespace idicn::runtime {
 
 class HttpClient {
 public:
-  struct Options {
-    int connect_timeout_ms = 5'000;
-    int io_timeout_ms = 10'000;
-  };
+  using Options = AsyncHttpClient::Options;
 
-  HttpClient(std::string host, std::uint16_t port);
-  HttpClient(std::string host, std::uint16_t port, Options options);
+  HttpClient(std::string host, std::uint16_t port, Options options = {});
+  ~HttpClient();
+
+  HttpClient(const HttpClient&) = delete;
+  HttpClient& operator=(const HttpClient&) = delete;
 
   /// One round trip. Reconnects transparently (once) when a reused
   /// keep-alive connection turns out to be dead — the standard race with a
@@ -48,41 +55,24 @@ public:
       const net::HttpRequest& request, net::ChunkSink& sink,
       std::string* error = nullptr);
 
-  [[nodiscard]] bool connected() const noexcept { return fd_.valid(); }
-
-  /// True when a kept-alive connection is no longer safely reusable: the
-  /// peer closed it (EOF pending), it errored, or unsolicited bytes arrived
-  /// while it sat idle (e.g. a server deadline response raced our reuse —
-  /// those bytes would otherwise decode as the answer to the *next*
-  /// request). A disconnected client is not stale: it dials fresh.
-  [[nodiscard]] bool stale_connection() const noexcept;
+  [[nodiscard]] bool connected() const noexcept { return client_.connected(); }
 
   void close();
 
-  [[nodiscard]] std::uint64_t requests_sent() const noexcept { return requests_sent_; }
-  [[nodiscard]] const std::string& host() const noexcept { return host_; }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint64_t requests_sent() const noexcept {
+    return client_.requests_sent();
+  }
+  [[nodiscard]] const std::string& host() const noexcept { return client_.host(); }
+  [[nodiscard]] std::uint16_t port() const noexcept { return client_.port(); }
 
 private:
-  bool ensure_connected(std::string* error);
-  /// Write the full buffer; false on error/timeout.
-  bool write_all(const std::string& bytes, std::string* error);
-  /// Read until one response decodes; nullopt on error/timeout/EOF.
-  std::optional<net::HttpResponse> read_response(std::string* error);
-  std::optional<net::HttpResponse> round_trip(const std::string& wire,
-                                              std::string* error);
+  /// Issue on client_ and pump loop_ until the completion fires.
+  std::optional<net::HttpResponse> round_trip(
+      const net::HttpRequest& request, std::shared_ptr<net::ChunkSink> sink,
+      std::string* error);
 
-  std::string host_;
-  std::uint16_t port_;
-  Options options_;
-  ScopedFd fd_;
-  net::HttpDecoder decoder_{net::HttpDecoder::Mode::Response};
-  std::uint64_t requests_sent_ = 0;
+  EventLoop loop_;          ///< declared first: client_ unwatches from it
+  AsyncHttpClient client_;  ///< confined to loop_, pumped by the caller
 };
-
-// Out of line: Options' default member initializers only become usable once
-// the enclosing class is complete.
-inline HttpClient::HttpClient(std::string host, std::uint16_t port)
-    : HttpClient(std::move(host), port, Options{}) {}
 
 }  // namespace idicn::runtime

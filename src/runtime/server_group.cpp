@@ -74,10 +74,10 @@ void accumulate(ServerGroup::Stats& total, const ServerGroup::Stats& part) {
 
 }  // namespace
 
-// One reactor: an EventLoop thread owning a connection table and (in
-// SO_REUSEPORT mode) its own listener. The hosted SimHost is shared across
-// workers — everything else here is single-worker-owned, guarded by this
-// worker's loop_role_. Lifecycle methods (start / stop_accepting /
+// One reactor: an EventLoop thread owning its listener and the connection
+// table of everything that listener accepts. The hosted SimHost is shared
+// across workers — everything else here is single-worker-owned, guarded by
+// this worker's loop_role_. Lifecycle methods (start / stop_accepting /
 // begin_drain / shutdown) are driven by the ServerGroup's controlling
 // thread in that order.
 //
@@ -97,26 +97,16 @@ class ServerWorker {
   ServerWorker(const ServerWorker&) = delete;
   ServerWorker& operator=(const ServerWorker&) = delete;
 
-  /// Install this worker's listener before start(). `dispatch_round_robin`
-  /// switches the accept handler from "adopt locally" (SO_REUSEPORT mode)
-  /// to "hand off via the group's round-robin cursor" (fallback mode,
-  /// worker 0 only).
-  void set_listener(ScopedFd listener, bool dispatch_round_robin) {
+  /// Install this worker's listener and start its thread.
+  void start(ScopedFd listener) {
     loop_role_.assert_held();  // pre-start: the role is unbound
     listener_ = std::move(listener);
-    dispatch_round_robin_ = dispatch_round_robin;
-  }
-
-  void start() {
-    loop_role_.assert_held();  // pre-start: the role is unbound
-    loop_ = std::make_unique<EventLoop>(options_.backend);
-    if (listener_.valid()) {
-      loop_->watch(listener_.get(), true, false,
-                   [this](bool readable, bool, bool) {
-                     loop_role_.assert_held();
-                     if (readable) on_accept();
-                   });
-    }
+    loop_ = std::make_unique<EventLoop>();
+    loop_->watch(listener_.get(), true, false,
+                 [this](bool readable, bool, bool) {
+                   loop_role_.assert_held();
+                   if (readable) on_accept();
+                 });
     thread_ = core::sync::Thread([this] {
       loop_role_.bind();  // the worker owns its connections (+ shared host)
       loop_->run();
@@ -125,8 +115,7 @@ class ServerWorker {
   }
 
   /// Stop() phase 1: close the listener (post-and-wait, so no accept
-  /// handler is mid-flight once this returns). No-op for listenerless
-  /// fallback workers.
+  /// handler is mid-flight once this returns).
   void stop_accepting() {
     run_and_wait([this] {
       loop_role_.assert_held();
@@ -209,23 +198,6 @@ class ServerWorker {
     while (!done) done_cv.wait(mutex);
   }
 
-  /// Take ownership of an accepted fd from any thread (the fallback
-  /// dispatch path). Cross-thread handoffs wrap the fd in a shared
-  /// ScopedFd so it still closes if the loop stops before running the
-  /// task.
-  void adopt_from_any_thread(int fd, std::string peer) {
-    if (thread_.get_id() == std::this_thread::get_id()) {
-      loop_role_.assert_held();
-      adopt_connection(ScopedFd(fd), std::move(peer));
-      return;
-    }
-    auto guard = std::make_shared<ScopedFd>(fd);
-    loop_->post([this, guard, peer = std::move(peer)]() mutable {
-      loop_role_.assert_held();
-      adopt_connection(std::move(*guard), std::move(peer));
-    });
-  }
-
   [[nodiscard]] std::size_t active_connections() const noexcept {
     return active_.value();
   }
@@ -276,7 +248,7 @@ class ServerWorker {
     std::deque<net::HttpResponse> deferred;
     bool producer_poll_armed = false;  ///< starvation re-poll timer pending
     bool closing = false;            ///< close once the queue drains
-    bool write_armed = false;        ///< poller is watching writability
+    bool write_armed = false;        ///< epoll is watching writability
     std::uint64_t last_activity_ms = 0;
     std::uint64_t message_start_ms = 0;  ///< first byte of in-flight request
     TimerWheel::TimerId timer = 0;
@@ -316,11 +288,7 @@ class ServerWorker {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
         return;  // transient accept failure; the listener stays armed
       }
-      if (dispatch_round_robin_) {
-        group_->dispatch_accepted(fd, peer_name(addr));
-      } else {
-        adopt_connection(ScopedFd(fd), peer_name(addr));
-      }
+      adopt_connection(ScopedFd(fd), peer_name(addr));
     }
   }
 
@@ -794,7 +762,6 @@ class ServerWorker {
   /// after the join; the pointer itself is never touched concurrently.
   std::unique_ptr<EventLoop> loop_;
   ScopedFd listener_ IDICN_GUARDED_BY(loop_role_);
-  bool dispatch_round_robin_ IDICN_GUARDED_BY(loop_role_) = false;
   bool draining_ IDICN_GUARDED_BY(loop_role_) = false;
   core::sync::Thread thread_;
   std::map<int, std::unique_ptr<Connection>> connections_
@@ -823,36 +790,19 @@ std::uint16_t ServerGroup::start(std::uint16_t port) {
   }
   const std::size_t worker_total = std::max<std::size_t>(1, options_.workers);
 
-  // Preferred path: one SO_REUSEPORT listener per worker, all bound to the
-  // same port — the kernel spreads accepted connections across them. Any
-  // bind failure falls back to the portable single-acceptor layout.
+  // One listener per worker. Several workers share the port through
+  // SO_REUSEPORT (the kernel spreads accepted connections across them); a
+  // lone worker keeps a plain listener, so a port already in use fails
+  // with EADDRINUSE instead of joining someone else's reuseport group.
+  ListenOptions listen_options;
+  listen_options.reuseport = worker_total > 1;
   std::vector<ScopedFd> listeners;
   std::uint16_t bound = 0;
-  std::string error;
-  reuseport_active_ = false;
-  if (worker_total > 1 && options_.reuseport && reuseport_supported()) {
-    ListenOptions listen_options;
-    listen_options.reuseport = true;
-    bool all_bound = true;
-    for (std::size_t i = 0; i < worker_total; ++i) {
-      // The first bind resolves an ephemeral request; siblings join it.
-      const std::uint16_t request = listeners.empty() ? port : bound;
-      const int fd = listen_tcp(request, &bound, &error, listen_options);
-      if (fd < 0) {
-        all_bound = false;
-        break;
-      }
-      listeners.emplace_back(fd);
-    }
-    if (all_bound) {
-      reuseport_active_ = true;
-    } else {
-      listeners.clear();
-      bound = 0;
-    }
-  }
-  if (!reuseport_active_) {
-    const int fd = listen_tcp(port, &bound, &error);
+  for (std::size_t i = 0; i < worker_total; ++i) {
+    // The first bind resolves an ephemeral request; siblings join it.
+    const std::uint16_t request = listeners.empty() ? port : bound;
+    std::string error;
+    const int fd = listen_tcp(request, &bound, &error, listen_options);
     if (fd < 0) {
       throw std::runtime_error("ServerGroup[" + address_ + "]: " + error);
     }
@@ -864,18 +814,9 @@ std::uint16_t ServerGroup::start(std::uint16_t port) {
     workers_.push_back(
         std::make_unique<ServerWorker>(host_, options_, this));
   }
-  if (reuseport_active_) {
-    for (std::size_t i = 0; i < worker_total; ++i) {
-      workers_[i]->set_listener(std::move(listeners[i]),
-                                /*dispatch_round_robin=*/false);
-    }
-  } else {
-    // Single acceptor on worker 0; with more than one worker it
-    // round-robins accepted fds across the group (including itself).
-    workers_[0]->set_listener(std::move(listeners[0]),
-                              /*dispatch_round_robin=*/worker_total > 1);
+  for (std::size_t i = 0; i < worker_total; ++i) {
+    workers_[i]->start(std::move(listeners[i]));
   }
-  for (auto& worker : workers_) worker->start();
   return port_;
 }
 
@@ -903,7 +844,6 @@ void ServerGroup::stop() {
     }
     workers_.clear();
   }
-  next_worker_.store(0, std::memory_order_relaxed);
 }
 
 void ServerGroup::run_on_all_workers(const std::function<void()>& fn) {
@@ -983,12 +923,6 @@ ServerGroup::Stats ServerGroup::worker_stats(std::size_t worker) const {
     throw std::out_of_range("ServerGroup::worker_stats: no such worker");
   }
   return retired_worker_stats_[worker];
-}
-
-void ServerGroup::dispatch_accepted(int fd, std::string peer) {
-  const std::size_t target =
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  workers_[target]->adopt_from_any_thread(fd, std::move(peer));
 }
 
 void ServerGroup::notify_connection_closed() {

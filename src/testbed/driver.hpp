@@ -4,7 +4,9 @@
 // Each core::BoundRequest is issued as an absolute-form GET through a
 // keep-alive runtime::HttpClient pinned to the request's home PoP — exactly
 // the browser-behind-a-configured-proxy shape the paper's deployment story
-// assumes. The driver replays sequentially (like the simulator), pushes a
+// assumes. HttpClient is the runtime's AsyncHttpClient on a private event
+// loop that the driver's own thread pumps, so the testbed's client speaks
+// the same HTTP/1.1 code as the proxies' upstream fetches. The driver replays sequentially (like the simulator), pushes a
 // full hint-exchange round every `hint_interval` requests, and optionally
 // dresses a fraction of requests with Range headers to exercise the
 // 206 Partial Content path end to end.

@@ -401,10 +401,13 @@ TEST(LargeObjectE2e, PrefixServedWhileTailStreamsFromUpstream) {
   });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (sink_b.bytes() < kPrefixChunks * d.state.chunk_bytes) {
+  // head_seen() (acquire) orders the sink's head fields before the reads
+  // below; bytes() is a relaxed counter and orders nothing.
+  while (!sink_b.head_seen() ||
+         sink_b.bytes() < kPrefixChunks * d.state.chunk_bytes) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "joined client never received the prefix; got " << sink_b.bytes()
-        << " bytes, X-Cache=" << sink_b.x_cache();
+        << " bytes";
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   // The prefix arrived while the tail verifiably did not exist yet.

@@ -1,7 +1,8 @@
-// Runtime building blocks: timer wheel, poller backends, event loop,
-// HttpClient ↔ HostServer over real loopback TCP.
+// Runtime building blocks: timer wheel, epoll event loop, HttpClient ↔
+// HostServer over real loopback TCP.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,10 +16,10 @@
 #include "core/sync.hpp"
 #include "net/http_message.hpp"
 #include "net/sim_net.hpp"
+#include "runtime/async_http_client.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/host_server.hpp"
 #include "runtime/http_client.hpp"
-#include "runtime/poller.hpp"
 #include "runtime/socket_net.hpp"
 #include "runtime/tcp.hpp"
 #include "runtime/timer_wheel.hpp"
@@ -124,73 +125,60 @@ TEST(TimerWheel, ZeroDelayFiresWithinOneTick) {
 }
 
 // ---------------------------------------------------------------------------
-// Poller backends
+// EventLoop
 
-class PollerBackends : public ::testing::TestWithParam<PollerBackend> {};
-
-TEST_P(PollerBackends, PipeReadiness) {
-  auto poller = make_poller(GetParam());
-  ASSERT_NE(poller, nullptr);
+TEST(EventLoop, PipeReadiness) {
+  EventLoop loop;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ScopedFd read_end(fds[0]), write_end(fds[1]);
-  ASSERT_TRUE(poller->add(read_end.get(), true, false));
+  int events = 0;
+  bool readable_seen = false;
+  ASSERT_TRUE(loop.watch(read_end.get(), true, false,
+                         [&](bool readable, bool, bool) {
+                           ++events;
+                           readable_seen = readable_seen || readable;
+                         }));
 
-  std::vector<Ready> ready;
-  EXPECT_EQ(poller->wait(0, ready), 0);  // nothing to read yet
+  loop.run_once(0);
+  EXPECT_EQ(events, 0);  // nothing to read yet
 
   ASSERT_EQ(::write(write_end.get(), "x", 1), 1);
-  ready.clear();
-  ASSERT_EQ(poller->wait(1000, ready), 1);
-  EXPECT_EQ(ready[0].fd, read_end.get());
-  EXPECT_TRUE(ready[0].readable);
+  loop.run_once(1000);
+  EXPECT_EQ(events, 1);
+  EXPECT_TRUE(readable_seen);
 
-  poller->remove(read_end.get());
-  ready.clear();
-  EXPECT_EQ(poller->wait(0, ready), 0);
+  // The byte stays unread, so a level-triggered watch would fire again:
+  // after unwatch (EPOLL_CTL_DEL) it must not.
+  loop.unwatch(read_end.get());
+  loop.run_once(0);
+  EXPECT_EQ(events, 1);
 }
 
-TEST_P(PollerBackends, ModifySwitchesInterest) {
-  auto poller = make_poller(GetParam());
-  ASSERT_NE(poller, nullptr);
+TEST(EventLoop, ModifySwitchesInterest) {
+  EventLoop loop;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ScopedFd read_end(fds[0]), write_end(fds[1]);
   ASSERT_EQ(::write(write_end.get(), "x", 1), 1);
 
   // Watch for writability only: readable data must not surface.
-  ASSERT_TRUE(poller->add(read_end.get(), false, true));
-  std::vector<Ready> ready;
-  (void)poller->wait(0, ready);
-  for (const auto& event : ready) EXPECT_FALSE(event.readable);
+  int readable_events = 0;
+  ASSERT_TRUE(loop.watch(read_end.get(), false, true,
+                         [&](bool readable, bool, bool) {
+                           if (readable) ++readable_events;
+                         }));
+  loop.run_once(0);
+  EXPECT_EQ(readable_events, 0);
 
-  ASSERT_TRUE(poller->modify(read_end.get(), true, false));
-  ready.clear();
-  ASSERT_EQ(poller->wait(1000, ready), 1);
-  EXPECT_TRUE(ready[0].readable);
+  ASSERT_TRUE(loop.update(read_end.get(), true, false));
+  loop.run_once(1000);
+  EXPECT_EQ(readable_events, 1);
+  loop.unwatch(read_end.get());
 }
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, PollerBackends,
-                         ::testing::Values(PollerBackend::Auto,
-                                           PollerBackend::Poll),
-                         [](const auto& info) {
-                           return info.param == PollerBackend::Poll ? "Poll"
-                                                                    : "Auto";
-                         });
-
-#if defined(__linux__)
-TEST(Poller, EpollAvailableOnLinux) {
-  auto poller = make_poller(PollerBackend::Epoll);
-  ASSERT_NE(poller, nullptr);
-  EXPECT_STREQ(poller->name(), "epoll");
-}
-#endif
-
-// ---------------------------------------------------------------------------
-// EventLoop
 
 TEST(EventLoop, TimerFiresAndStopsLoop) {
-  EventLoop loop(PollerBackend::Poll);
+  EventLoop loop;
   bool fired = false;
   loop.add_timer(20, [&] {
     fired = true;
@@ -272,7 +260,7 @@ TEST(EventLoopDeathTest, LoopOnlyMethodOffThreadAsserts) {
 #endif
 
 TEST(EventLoop, DispatchesPipeEvents) {
-  EventLoop loop(PollerBackend::Poll);
+  EventLoop loop;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ScopedFd read_end(fds[0]), write_end(fds[1]);
@@ -483,19 +471,6 @@ TEST(HostServer, RequestTimeoutAnswers408) {
   EXPECT_GE(server.stats().timeouts, 1u);
 }
 
-TEST(HostServer, PollBackendServesToo) {
-  EchoHost host;
-  HostServer::Options options;
-  options.backend = PollerBackend::Poll;
-  HostServer server(&host, "echo.test", options);
-  const std::uint16_t port = server.start();
-  HttpClient client("127.0.0.1", port);
-  const auto response = client.get("/via-poll");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->body, "echo:/via-poll");
-  server.stop();
-}
-
 TEST(HttpClient, ReconnectsAfterServerRestart) {
   EchoHost host;
   HostServer server(&host, "echo.test");
@@ -523,6 +498,163 @@ TEST(HttpClient, ConnectFailureReportsError) {
   EXPECT_FALSE(response.has_value());
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(client.connected());
+}
+
+/// Accept one connection on a (non-blocking) listen_tcp() listener,
+/// waiting up to five seconds; the accepted socket blocks with a five
+/// second IO timeout, so a test that goes wrong fails instead of hanging.
+ScopedFd accept_within_5s(int listener) {
+  pollfd ready{listener, POLLIN, 0};
+  if (::poll(&ready, 1, 5000) != 1) return ScopedFd();
+  ScopedFd fd(::accept(listener, nullptr, nullptr));
+  if (fd.valid()) set_io_timeout(fd.get(), 5000);
+  return fd;
+}
+
+/// Read one request head (up to the blank line) from a blocking socket.
+std::string read_request_head(int fd) {
+  std::string head;
+  char byte = 0;
+  while (head.find("\r\n\r\n") == std::string::npos &&
+         ::recv(fd, &byte, 1, 0) == 1) {
+    head.push_back(byte);
+  }
+  return head;
+}
+
+std::string ok_response(const std::string& body) {
+  return "HTTP/1.1 200 OK\r\nContent-Length: " + std::to_string(body.size()) +
+         "\r\n\r\n" + body;
+}
+
+/// Serves two connections in turn: the first answers "/a" with "first"
+/// and also writes an unsolicited response "stray" — in the same segment
+/// when `coalesced`, else only once the client saw "first" — the second
+/// answers "/b" with "second".
+void serve_with_stray_response(int listener, bool coalesced,
+                               const std::atomic<bool>& client_got_first,
+                               std::atomic<bool>& stray_sent) {
+  ScopedFd first = accept_within_5s(listener);
+  read_request_head(first.get());
+  std::string reply = ok_response("first");
+  if (!coalesced) {
+    (void)!::send(first.get(), reply.data(), reply.size(), MSG_NOSIGNAL);
+    while (!client_got_first.load()) std::this_thread::yield();
+    reply.clear();
+  }
+  reply += ok_response("stray");
+  (void)!::send(first.get(), reply.data(), reply.size(), MSG_NOSIGNAL);
+  stray_sent.store(true);
+
+  ScopedFd second = accept_within_5s(listener);
+  if (read_request_head(second.get()).find("GET /b ") == 0) {
+    const std::string answer = ok_response("second");
+    (void)!::send(second.get(), answer.data(), answer.size(), MSG_NOSIGNAL);
+  }
+  read_request_head(second.get());  // hold it open until the client closes
+}
+
+void expect_stray_response_forces_a_redial(bool coalesced) {
+  std::uint16_t port = 0;
+  ScopedFd listener(listen_tcp(0, &port, nullptr));
+  ASSERT_TRUE(listener.valid());
+  std::atomic<bool> client_got_first{false};
+  std::atomic<bool> stray_sent{false};
+  core::sync::Thread server([&] {
+    serve_with_stray_response(listener.get(), coalesced, client_got_first,
+                              stray_sent);
+  });
+
+  HttpClient client("127.0.0.1", port, HttpClient::Options{2000, 2000});
+  const auto first = client.get("/a");
+  client_got_first.store(true);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->body, "first");
+  while (!stray_sent.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it land
+
+  std::string error;
+  const auto second = client.get("/b", &error);
+  ASSERT_TRUE(second.has_value()) << error;
+  EXPECT_EQ(second->body, "second");
+  EXPECT_EQ(client.requests_sent(), 2u);
+  client.close();
+}
+
+TEST(HttpClient, UnsolicitedBytesOnIdleConnectionForceARedial) {
+  // A kept-alive connection that received bytes while idle (e.g. a late
+  // server deadline response) must be redialed: reusing it would decode
+  // the stray bytes as the answer to the next request.
+  expect_stray_response_forces_a_redial(/*coalesced=*/false);
+}
+
+TEST(HttpClient, StrayResponseInTheAnswersSegmentForcesARedial) {
+  // Same, when the stray response rides the answer's own segment: it is
+  // neither part of the answer's body nor the answer to the next request.
+  expect_stray_response_forces_a_redial(/*coalesced=*/true);
+}
+
+TEST(HttpClient, SilentServerTimesOutWithinIoTimeout) {
+  // The server accepts and never answers: the IO deadline, not the peer,
+  // ends the round trip.
+  std::uint16_t port = 0;
+  ScopedFd listener(listen_tcp(0, &port, nullptr));
+  ASSERT_TRUE(listener.valid());
+  std::atomic<bool> done{false};
+  core::sync::Thread server([&] {
+    ScopedFd held = accept_within_5s(listener.get());
+    while (!done.load()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+
+  constexpr int kIoTimeoutMs = 300;
+  HttpClient client("127.0.0.1", port, HttpClient::Options{2000, kIoTimeoutMs});
+  std::string error;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto response = client.get("/silence", &error);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  done.store(true);
+  EXPECT_FALSE(response.has_value());
+  EXPECT_EQ(error, "receive timeout");
+  EXPECT_GE(elapsed, kIoTimeoutMs - 20);  // one timer tick of slack early
+  EXPECT_LT(elapsed, kIoTimeoutMs + 1000);
+  EXPECT_FALSE(client.connected());
+}
+
+TEST(AsyncHttpClient, PipelinedResponsesInOneSegmentEachGetTheirOwnBody) {
+  // Two requests issued before the connect completes both go out, and
+  // when both answers arrive in one segment each op gets its own body.
+  std::uint16_t port = 0;
+  ScopedFd listener(listen_tcp(0, &port, nullptr));
+  ASSERT_TRUE(listener.valid());
+  core::sync::Thread server([&] {
+    ScopedFd conn = accept_within_5s(listener.get());
+    read_request_head(conn.get());
+    read_request_head(conn.get());
+    const std::string replies = ok_response("one") + ok_response("two");
+    (void)!::send(conn.get(), replies.data(), replies.size(), MSG_NOSIGNAL);
+    read_request_head(conn.get());  // hold it open until the client closes
+  });
+
+  EventLoop loop;
+  AsyncHttpClient client(&loop, "127.0.0.1", port,
+                         AsyncHttpClient::Options{2000, 2000});
+  client.assert_owned();
+  std::vector<std::string> bodies;
+  int done = 0;
+  for (const char* target : {"/1", "/2"}) {
+    net::HttpRequest request;
+    request.target = target;
+    client.issue(request, nullptr,
+                 [&](std::optional<net::HttpResponse> response, std::string) {
+                   bodies.push_back(response ? response->body : "<failed>");
+                   ++done;
+                 });
+  }
+  while (done < 2) loop.run_once(1000);
+  EXPECT_EQ(bodies, (std::vector<std::string>{"one", "two"}));
+  client.shutdown();
 }
 
 // ---------------------------------------------------------------------------

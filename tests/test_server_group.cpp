@@ -1,8 +1,7 @@
-// runtime::ServerGroup multi-reactor suite: the SO_REUSEPORT path, the
-// single-acceptor round-robin fallback (forced via Options::reuseport =
-// false, per the PR-4 satellite), ordered/idempotent stop with graceful
-// drain, and the run_on_all_workers exclusivity door. Everything runs over
-// real loopback TCP and is part of the sanitizer CI job.
+// runtime::ServerGroup multi-reactor suite: one listener per worker
+// (SO_REUSEPORT exactly when workers > 1), ordered/idempotent stop with
+// graceful drain, and the run_on_all_workers exclusivity door. Everything
+// runs over real loopback TCP and is part of the sanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -39,37 +38,15 @@ public:
 };
 
 // ---------------------------------------------------------------------------
-// Fallback path (forced): one acceptor round-robins fds to the workers
+// Single worker: a plain listener
 
-TEST(ServerGroup, ForcedFallbackRoundRobinsConnectionsAcrossWorkers) {
-  EchoHost host;
-  ServerGroup::Options options;
-  options.workers = 3;
-  options.reuseport = false;  // force the portability fallback
-  ServerGroup group(&host, "echo.test", options);
-  const std::uint16_t port = group.start();
-  ASSERT_GT(port, 0);
-  EXPECT_FALSE(group.using_reuseport());
-  EXPECT_EQ(group.worker_count(), 3u);
-
-  // Six sequential connections (each completes a request before the next
-  // dials, so accept order is the connect order): the dispatch cursor
-  // must land two connections on every worker.
-  for (int i = 0; i < 6; ++i) {
-    HttpClient client("127.0.0.1", port);
-    const auto response = client.get("/conn" + std::to_string(i));
-    ASSERT_TRUE(response.has_value()) << "connection " << i;
-    EXPECT_EQ(response->body, "echo:/conn" + std::to_string(i));
-  }
-
-  group.stop();
-  EXPECT_EQ(group.stats().requests_served, 6u);
-  EXPECT_EQ(group.stats().connections_accepted, 6u);
-  for (std::size_t w = 0; w < 3; ++w) {
-    EXPECT_EQ(group.worker_stats(w).connections_accepted, 2u)
-        << "worker " << w << " did not get its round-robin share";
-    EXPECT_EQ(group.worker_stats(w).requests_served, 2u) << "worker " << w;
-  }
+/// True when a SO_REUSEPORT socket can bind `port` alongside its current
+/// listeners — i.e. they set SO_REUSEPORT themselves.
+bool reuseport_listener_can_join(std::uint16_t port) {
+  ListenOptions join;
+  join.reuseport = true;
+  ScopedFd probe(listen_tcp(port, nullptr, nullptr, join));
+  return probe.valid();
 }
 
 TEST(ServerGroup, SingleWorkerNeverUsesReuseport) {
@@ -79,12 +56,38 @@ TEST(ServerGroup, SingleWorkerNeverUsesReuseport) {
   ServerGroup group(&host, "echo.test", options);
   group.start();
   EXPECT_EQ(group.worker_count(), 1u);
-  EXPECT_FALSE(group.using_reuseport());  // no point sharding one acceptor
+  // No point sharding one acceptor: the listener is plain, so a
+  // SO_REUSEPORT socket cannot share its port.
+  EXPECT_FALSE(reuseport_listener_can_join(group.port()));
   HttpClient client("127.0.0.1", group.port());
   const auto response = client.get("/solo");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->body, "echo:/solo");
   group.stop();
+}
+
+TEST(ServerGroup, SingleWorkerStartOnAPortInUseThrows) {
+  // A lone worker binds a plain listener: an explicit port another group
+  // already listens on fails with EADDRINUSE instead of joining it.
+  EchoHost host;
+  for (const std::size_t incumbent_workers : {std::size_t{1}, std::size_t{2}}) {
+    ServerGroup::Options options;
+    options.workers = incumbent_workers;
+    ServerGroup incumbent(&host, "incumbent.test", options);
+    const std::uint16_t port = incumbent.start();
+
+    ServerGroup late(&host, "late.test");
+    EXPECT_THROW(late.start(port), std::runtime_error)
+        << "incumbent with " << incumbent_workers << " worker(s)";
+    EXPECT_FALSE(late.running());
+
+    // The incumbent still owns the port and serves.
+    HttpClient client("127.0.0.1", port);
+    const auto response = client.get("/still-here");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->body, "echo:/still-here");
+    incumbent.stop();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -123,18 +126,15 @@ TEST(ServerGroup, OverCapacityRejectionCarriesRetryAfter) {
 }
 
 // ---------------------------------------------------------------------------
-// SO_REUSEPORT path (kernel-balanced; skipped where unsupported)
+// Several workers: one SO_REUSEPORT listener each (kernel-balanced)
 
 TEST(ServerGroup, ReuseportListenersShareOnePort) {
-  if (!reuseport_supported()) {
-    GTEST_SKIP() << "SO_REUSEPORT not supported on this platform";
-  }
   EchoHost host;
   ServerGroup::Options options;
   options.workers = 2;
   ServerGroup group(&host, "echo.test", options);
   const std::uint16_t port = group.start();
-  EXPECT_TRUE(group.using_reuseport());
+  EXPECT_TRUE(reuseport_listener_can_join(port));
 
   // The kernel picks the worker per connection — assert aggregate
   // correctness, not the (hash-dependent) distribution.
@@ -162,7 +162,6 @@ TEST(ServerGroup, StopIsIdempotentAndPreservesCounters) {
   EchoHost host;
   ServerGroup::Options options;
   options.workers = 2;
-  options.reuseport = false;
   ServerGroup group(&host, "echo.test", options);
   group.start();
   {
@@ -230,7 +229,6 @@ TEST(ServerGroup, StopDrainsInFlightRequestBeforeJoining) {
   SlowHost host;
   ServerGroup::Options options;
   options.workers = 2;
-  options.reuseport = false;
   ServerGroup group(&host, "slow.test", options);
   const std::uint16_t port = group.start();
 
@@ -263,7 +261,6 @@ TEST(ServerGroup, DrainDeadlineForceClosesStalledConnection) {
   EchoHost host;
   ServerGroup::Options options;
   options.workers = 2;
-  options.reuseport = false;
   options.drain_timeout_ms = 100;      // short deadline under test
   options.request_timeout_ms = 60'000; // so only the drain deadline fires
   options.idle_timeout_ms = 60'000;
@@ -318,7 +315,6 @@ TEST(ServerGroup, RunOnAllWorkersGetsExclusiveAccessWhileServing) {
   GreetingHost host;
   ServerGroup::Options options;
   options.workers = 3;
-  options.reuseport = false;
   ServerGroup group(&host, "greet.test", options);
   const std::uint16_t port = group.start();
 

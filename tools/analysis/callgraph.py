@@ -67,10 +67,11 @@ BLOCKING_NAMES = frozenset({
 
 #: Project functions that are blocking by contract even though their
 #: terminal names are not in BLOCKING_NAMES (suffix-matched, `::`-separated).
+#: HttpClient pumps a private event loop on its caller's thread until the
+#: response completes, so its round trips block the caller.
 BLOCKING_PROJECT_SUFFIXES = (
     "HttpClient::request",
     "HttpClient::request_streaming",
-    "HttpClient::ensure_connected",
     "connect_tcp",
 )
 

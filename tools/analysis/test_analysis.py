@@ -236,6 +236,33 @@ class RuleTest(unittest.TestCase):
         sinks = {f.sink for f in findings}
         self.assertIn("sleep", sinks)
 
+    def test_blocking_http_client_request_is_loop_blocking(self):
+        # HttpClient::request pumps its own loop until the response lands:
+        # a loop-role handler that calls it stalls its reactor.
+        g = graph_of(("""
+            namespace idicn::runtime {
+            std::optional<HttpResponse> HttpClient::request(
+                const HttpRequest& request, std::string* error) {
+              return round_trip(request, nullptr, error);
+            }
+            }
+        """, "http_client.cpp"), ("""
+            namespace idicn::runtime {
+            struct Worker {
+              void on_readable(int fd) IDICN_REQUIRES(loop_role_) {
+                client_.request(probe_, &error_);
+              }
+            };
+            }
+        """, "worker.cpp"))
+        findings = callgraph.check_loop_blocking(g)
+        self.assertEqual(
+            [(f.rule, f.function, f.sink) for f in findings],
+            [("loop-blocking", "idicn::runtime::Worker::on_readable",
+              "request")])
+        self.assertEqual(findings[0].path,
+                         ("idicn::runtime::Worker::on_readable",))
+
     def test_sync_send_bridge_is_loop_blocking(self):
         # A synchronous send built as "post the async op to a loop, then
         # wait on a condvar" blocks its caller like any blocking client: a
