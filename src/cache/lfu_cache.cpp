@@ -12,49 +12,54 @@ void LfuCache::touch(ObjectId object, Entry& entry) {
 }
 
 bool LfuCache::lookup(ObjectId object) {
-  const auto it = entries_.find(object);
-  if (it == entries_.end()) return false;
-  touch(object, it->second);
+  const std::uint32_t position = index_.find(object);
+  if (position == FlatIndex::kAbsent) return false;
+  touch(object, entries_[position]);
   return true;
 }
 
-bool LfuCache::contains(ObjectId object) const {
-  return entries_.find(object) != entries_.end();
+bool LfuCache::contains(ObjectId object) const { return index_.contains(object); }
+
+void LfuCache::remove(ObjectId object) {
+  const std::uint32_t position = index_.erase(object);
+  const Entry& entry = entries_[position];
+  order_.erase(OrderKey{entry.frequency, entry.age, object});
+  used_ -= entry.size;
+  if (position + 1 != entries_.size()) {
+    entries_[position] = entries_.back();
+    index_.update(entries_[position].object, position);
+  }
+  entries_.pop_back();
 }
 
 void LfuCache::evict_one(std::vector<ObjectId>& evicted) {
-  const auto victim = order_.begin();
-  const ObjectId object = std::get<2>(*victim);
-  used_ -= entries_[object].size;
+  const ObjectId object = std::get<2>(*order_.begin());
   evicted.push_back(object);
-  entries_.erase(object);
-  order_.erase(victim);
+  remove(object);
 }
 
 void LfuCache::insert(ObjectId object, std::uint64_t size,
                       std::vector<ObjectId>& evicted) {
-  const auto it = entries_.find(object);
-  if (it != entries_.end()) {
-    touch(object, it->second);
+  const std::uint32_t present = index_.find(object);
+  if (present != FlatIndex::kAbsent) {
+    touch(object, entries_[present]);
     return;
   }
   if (size > capacity_) return;
   while (used_ + size > capacity_) evict_one(evicted);
   Entry entry;
+  entry.object = object;
   entry.frequency = 1;
   entry.age = ++clock_;
   entry.size = size;
   order_.insert(OrderKey{entry.frequency, entry.age, object});
-  entries_.emplace(object, entry);
+  index_.insert(object, static_cast<std::uint32_t>(entries_.size()));
+  entries_.push_back(entry);
   used_ += size;
 }
 
 void LfuCache::erase(ObjectId object) {
-  const auto it = entries_.find(object);
-  if (it == entries_.end()) return;
-  order_.erase(OrderKey{it->second.frequency, it->second.age, object});
-  used_ -= it->second.size;
-  entries_.erase(it);
+  if (index_.contains(object)) remove(object);
 }
 
 }  // namespace idicn::cache

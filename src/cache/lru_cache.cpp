@@ -2,7 +2,8 @@
 
 namespace idicn::cache {
 
-LruCache::LruCache(std::uint64_t capacity) : capacity_(capacity) {}
+LruCache::LruCache(std::uint64_t capacity, bool promote_on_hit)
+    : capacity_(capacity), promote_on_hit_(promote_on_hit) {}
 
 void LruCache::unlink(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
@@ -28,19 +29,21 @@ void LruCache::link_front(std::uint32_t slot) noexcept {
   if (tail_ == kNil) tail_ = slot;
 }
 
-bool LruCache::lookup(ObjectId object) {
-  const auto it = index_.find(object);
-  if (it == index_.end()) return false;
-  if (head_ != it->second) {
-    unlink(it->second);
-    link_front(it->second);
+void LruCache::promote(std::uint32_t slot) noexcept {
+  if (promote_on_hit_ && head_ != slot) {
+    unlink(slot);
+    link_front(slot);
   }
+}
+
+bool LruCache::lookup(ObjectId object) {
+  const std::uint32_t slot = index_.find(object);
+  if (slot == kNil) return false;
+  promote(slot);
   return true;
 }
 
-bool LruCache::contains(ObjectId object) const {
-  return index_.find(object) != index_.end();
-}
+bool LruCache::contains(ObjectId object) const { return index_.contains(object); }
 
 void LruCache::evict_lru(std::vector<ObjectId>& evicted) {
   const std::uint32_t victim = tail_;
@@ -54,13 +57,10 @@ void LruCache::evict_lru(std::vector<ObjectId>& evicted) {
 
 void LruCache::insert(ObjectId object, std::uint64_t size,
                       std::vector<ObjectId>& evicted) {
-  const auto it = index_.find(object);
-  if (it != index_.end()) {
+  const std::uint32_t present = index_.find(object);
+  if (present != kNil) {
     // Refresh recency; sizes are immutable per object in this model.
-    if (head_ != it->second) {
-      unlink(it->second);
-      link_front(it->second);
-    }
+    promote(present);
     return;
   }
   if (size > capacity_) return;  // cannot ever fit
@@ -77,18 +77,16 @@ void LruCache::insert(ObjectId object, std::uint64_t size,
   }
   slots_[slot] = Slot{object, size, kNil, kNil};
   link_front(slot);
-  index_.emplace(object, slot);
+  index_.insert(object, slot);
   used_ += size;
 }
 
 void LruCache::erase(ObjectId object) {
-  const auto it = index_.find(object);
-  if (it == index_.end()) return;
-  const std::uint32_t slot = it->second;
+  const std::uint32_t slot = index_.erase(object);
+  if (slot == kNil) return;
   used_ -= slots_[slot].size;
   unlink(slot);
   free_slots_.push_back(slot);
-  index_.erase(it);
 }
 
 }  // namespace idicn::cache

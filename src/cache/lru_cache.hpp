@@ -1,20 +1,25 @@
-// LRU cache — the paper's baseline replacement policy.
+// LRU cache — the paper's baseline replacement policy — and FIFO.
 //
-// Implemented as an open hash map over slots in a contiguous vector with an
-// intrusive doubly-linked recency list (head = most recent). All operations
-// are O(1) expected; the hot path allocates nothing after warm-up.
+// Slots live in a contiguous vector threaded by an intrusive doubly-linked
+// list (head = most recent), found through a FlatIndex (ObjectId → slot).
+// A hit moves its slot to the head; eviction takes the tail. FIFO is the
+// same list with promotion switched off: lookups and re-inserts leave the
+// arrival order alone. All operations are O(1) expected; freed slots are
+// reused, so once the slot vector and the index have grown to the cache's
+// peak object count, nothing allocates.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/flat_index.hpp"
 
 namespace idicn::cache {
 
 class LruCache final : public Cache {
 public:
-  explicit LruCache(std::uint64_t capacity);
+  /// `promote_on_hit = false` gives FIFO (PolicyKind::Fifo).
+  explicit LruCache(std::uint64_t capacity, bool promote_on_hit = true);
 
   [[nodiscard]] bool lookup(ObjectId object) override;
   [[nodiscard]] bool contains(ObjectId object) const override;
@@ -31,7 +36,7 @@ public:
   }
 
 private:
-  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kNil = FlatIndex::kAbsent;
 
   struct Slot {
     ObjectId object = 0;
@@ -42,15 +47,17 @@ private:
 
   void unlink(std::uint32_t slot) noexcept;
   void link_front(std::uint32_t slot) noexcept;
+  void promote(std::uint32_t slot) noexcept;
   void evict_lru(std::vector<ObjectId>& evicted);
 
   std::uint64_t capacity_;
+  bool promote_on_hit_;
   std::uint64_t used_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::uint32_t head_ = kNil;  // most recently used
-  std::uint32_t tail_ = kNil;  // least recently used
-  std::unordered_map<ObjectId, std::uint32_t> index_;
+  std::uint32_t head_ = kNil;  // most recently used (FIFO: newest)
+  std::uint32_t tail_ = kNil;  // least recently used (FIFO: oldest)
+  FlatIndex index_;
 };
 
 }  // namespace idicn::cache

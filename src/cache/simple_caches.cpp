@@ -23,59 +23,12 @@ std::unique_ptr<Cache> make_cache(PolicyKind kind, std::uint64_t capacity,
   switch (kind) {
     case PolicyKind::Lru: return std::make_unique<LruCache>(capacity);
     case PolicyKind::Lfu: return std::make_unique<LfuCache>(capacity);
-    case PolicyKind::Fifo: return std::make_unique<FifoCache>(capacity);
+    case PolicyKind::Fifo:
+      return std::make_unique<LruCache>(capacity, /*promote_on_hit=*/false);
     case PolicyKind::Random: return std::make_unique<RandomCache>(capacity, seed);
     case PolicyKind::Infinite: return std::make_unique<InfiniteCache>();
   }
   throw std::invalid_argument("make_cache: unknown policy");
-}
-
-// ---------------------------------------------------------------------------
-// FifoCache
-// ---------------------------------------------------------------------------
-
-FifoCache::FifoCache(std::uint64_t capacity) : capacity_(capacity) {}
-
-bool FifoCache::lookup(ObjectId object) { return contains(object); }
-
-bool FifoCache::contains(ObjectId object) const {
-  return entries_.find(object) != entries_.end();
-}
-
-void FifoCache::insert(ObjectId object, std::uint64_t size,
-                       std::vector<ObjectId>& evicted) {
-  if (contains(object)) return;
-  if (size > capacity_) return;
-  while (used_ + size > capacity_) {
-    // Pop, skipping entries invalidated by erase()/re-insert.
-    while (queue_head_ < queue_.size()) {
-      const auto& [candidate, seq] = queue_[queue_head_];
-      const auto it = entries_.find(candidate);
-      if (it != entries_.end() && it->second.seq == seq) break;
-      ++queue_head_;
-    }
-    const ObjectId victim = queue_[queue_head_++].first;
-    used_ -= entries_[victim].size;
-    entries_.erase(victim);
-    evicted.push_back(victim);
-  }
-  // Periodically compact the consumed prefix so memory stays bounded.
-  if (queue_head_ > 4096 && queue_head_ * 2 > queue_.size()) {
-    queue_.erase(queue_.begin(),
-                 queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
-    queue_head_ = 0;
-  }
-  const std::uint64_t seq = next_seq_++;
-  queue_.emplace_back(object, seq);
-  entries_.emplace(object, Entry{size, seq});
-  used_ += size;
-}
-
-void FifoCache::erase(ObjectId object) {
-  const auto it = entries_.find(object);
-  if (it == entries_.end()) return;
-  used_ -= it->second.size;
-  entries_.erase(it);  // queue entry becomes stale; skipped on eviction
 }
 
 // ---------------------------------------------------------------------------
@@ -87,8 +40,15 @@ RandomCache::RandomCache(std::uint64_t capacity, std::uint64_t seed)
 
 bool RandomCache::lookup(ObjectId object) { return contains(object); }
 
-bool RandomCache::contains(ObjectId object) const {
-  return members_.find(object) != members_.end();
+bool RandomCache::contains(ObjectId object) const { return index_.contains(object); }
+
+void RandomCache::remove_at(std::uint32_t position) {
+  index_.erase(members_[position].object);
+  if (position + 1 != members_.size()) {
+    members_[position] = members_.back();
+    index_.update(members_[position].object, position);
+  }
+  members_.pop_back();
 }
 
 void RandomCache::insert(ObjectId object, std::uint64_t size,
@@ -96,31 +56,22 @@ void RandomCache::insert(ObjectId object, std::uint64_t size,
   if (contains(object)) return;
   if (size > capacity_) return;
   while (used_ + size > capacity_) {
-    std::uniform_int_distribution<std::size_t> pick(0, objects_.size() - 1);
-    const std::size_t position = pick(rng_);
-    const ObjectId victim = objects_[position];
-    used_ -= members_[victim].size;
-    evicted.push_back(victim);
-    // Swap-erase from the dense vector and fix the moved member's position.
-    objects_[position] = objects_.back();
-    members_[objects_[position]].position = position;
-    objects_.pop_back();
-    members_.erase(victim);
+    std::uniform_int_distribution<std::size_t> pick(0, members_.size() - 1);
+    const auto position = static_cast<std::uint32_t>(pick(rng_));
+    used_ -= members_[position].size;
+    evicted.push_back(members_[position].object);
+    remove_at(position);
   }
-  members_.emplace(object, Member{objects_.size(), size});
-  objects_.push_back(object);
+  index_.insert(object, static_cast<std::uint32_t>(members_.size()));
+  members_.push_back(Member{object, size});
   used_ += size;
 }
 
 void RandomCache::erase(ObjectId object) {
-  const auto it = members_.find(object);
-  if (it == members_.end()) return;
-  const std::size_t position = it->second.position;
-  used_ -= it->second.size;
-  objects_[position] = objects_.back();
-  members_[objects_[position]].position = position;
-  objects_.pop_back();
-  members_.erase(it);
+  const std::uint32_t position = index_.find(object);
+  if (position == FlatIndex::kAbsent) return;
+  used_ -= members_[position].size;
+  remove_at(position);
 }
 
 }  // namespace idicn::cache

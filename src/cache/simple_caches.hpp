@@ -1,53 +1,17 @@
-// FIFO, RANDOM, and unbounded caches.
+// RANDOM and unbounded caches (FIFO is LruCache without promotion).
 //
-// FIFO and RANDOM are ablation baselines (bench_ablation_policies); the
-// unbounded cache backs the paper's Inf-Budget reference point (Fig. 10)
-// and the origin servers' "very large cache" for owned objects (§4.1).
+// RANDOM is an ablation baseline (bench_ablation_policies); the unbounded
+// cache backs the paper's Inf-Budget reference point (Fig. 10) and the
+// origin servers' "very large cache" for owned objects (§4.1).
 #pragma once
 
 #include <random>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/flat_index.hpp"
 
 namespace idicn::cache {
-
-/// First-in first-out eviction; lookups do not affect order.
-class FifoCache final : public Cache {
-public:
-  explicit FifoCache(std::uint64_t capacity);
-
-  [[nodiscard]] bool lookup(ObjectId object) override;
-  [[nodiscard]] bool contains(ObjectId object) const override;
-  void insert(ObjectId object, std::uint64_t size,
-              std::vector<ObjectId>& evicted) override;
-  void erase(ObjectId object) override;
-
-  [[nodiscard]] std::size_t object_count() const noexcept override {
-    return entries_.size();
-  }
-  [[nodiscard]] std::uint64_t used_units() const noexcept override { return used_; }
-  [[nodiscard]] std::uint64_t capacity_units() const noexcept override {
-    return capacity_;
-  }
-
-private:
-  struct Entry {
-    std::uint64_t size = 0;
-    std::uint64_t seq = 0;  // sequence of the live queue entry for this object
-  };
-
-  std::uint64_t capacity_;
-  std::uint64_t used_ = 0;
-  std::uint64_t next_seq_ = 0;
-  // Arrival order; entries whose seq no longer matches entries_ are stale
-  // (the object was erased, possibly re-inserted) and skipped on eviction.
-  std::vector<std::pair<ObjectId, std::uint64_t>> queue_;
-  std::size_t queue_head_ = 0;
-  std::unordered_map<ObjectId, Entry> entries_;
-};
 
 /// Uniform-random eviction.
 class RandomCache final : public Cache {
@@ -70,15 +34,19 @@ public:
 
 private:
   struct Member {
-    std::size_t position = 0;  // index into objects_
+    ObjectId object = 0;
     std::uint64_t size = 0;
   };
+
+  /// Swap-erase members_[position], keeping index_ pointing at the member
+  /// that moves into its place.
+  void remove_at(std::uint32_t position);
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::mt19937_64 rng_;
-  std::vector<ObjectId> objects_;
-  std::unordered_map<ObjectId, Member> members_;
+  std::vector<Member> members_;  ///< dense; the victim draw picks a position
+  FlatIndex index_;              ///< object → position in members_
 };
 
 /// Never evicts; capacity_units() reports a sentinel of UINT64_MAX.
@@ -86,15 +54,15 @@ class InfiniteCache final : public Cache {
 public:
   InfiniteCache() = default;
 
-  [[nodiscard]] bool lookup(ObjectId object) override {
-    return objects_.find(object) != objects_.end();
-  }
+  [[nodiscard]] bool lookup(ObjectId object) override { return contains(object); }
   [[nodiscard]] bool contains(ObjectId object) const override {
-    return objects_.find(object) != objects_.end();
+    return objects_.contains(object);
   }
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& /*evicted*/) override {
-    if (objects_.insert(object).second) used_ += size;
+    if (objects_.contains(object)) return;
+    objects_.insert(object, 0);
+    used_ += size;
   }
   void erase(ObjectId object) override { objects_.erase(object); }
 
@@ -108,7 +76,7 @@ public:
 
 private:
   std::uint64_t used_ = 0;
-  std::unordered_set<ObjectId> objects_;
+  FlatIndex objects_;  ///< membership only; every value is 0
 };
 
 }  // namespace idicn::cache

@@ -9,53 +9,71 @@ using topology::GlobalNodeId;
 using topology::PopId;
 using topology::TreeIndex;
 
+namespace {
+
+/// The bucket of `pop` in a pop-sorted list, or where it would go.
+template <typename Pops>
+auto find_pop(Pops& pops, PopId pop) {
+  return std::lower_bound(pops.begin(), pops.end(), pop,
+                          [](const auto& ph, PopId p) { return ph.pop < p; });
+}
+
+}  // namespace
+
 void HolderIndex::add(std::uint32_t object, GlobalNodeId node) {
-  if (!membership_.insert(key(object, node)).second) {
-    throw std::logic_error("HolderIndex::add: duplicate holder");
-  }
   const PopId pop = network_->pop_of(node);
   const TreeIndex t = network_->tree_index_of(node);
-  ObjectHolders& oh = holders_[object];
+  if (object >= holders_.size()) holders_.resize(std::size_t{object} + 1);
+  std::vector<PopHolders>& pops = holders_[object].pops;
 
-  auto pop_it = std::lower_bound(
-      oh.pops.begin(), oh.pops.end(), pop,
-      [](const PopHolders& ph, PopId p) { return ph.pop < p; });
-  if (pop_it == oh.pops.end() || pop_it->pop != pop) {
-    pop_it = oh.pops.insert(pop_it, PopHolders{pop, {}});
+  auto pop_it = find_pop(pops, pop);
+  if (pop_it == pops.end() || pop_it->pop != pop) {
+    pop_it = pops.insert(pop_it, PopHolders{pop, {}});
   }
   std::vector<TreeIndex>& nodes = pop_it->nodes;
-  nodes.insert(std::lower_bound(nodes.begin(), nodes.end(), t), t);
+  const auto node_it = std::lower_bound(nodes.begin(), nodes.end(), t);
+  if (node_it != nodes.end() && *node_it == t) {
+    throw std::logic_error("HolderIndex::add: duplicate holder");
+  }
+  nodes.insert(node_it, t);
+  ++size_;
 }
 
 void HolderIndex::remove(std::uint32_t object, GlobalNodeId node) {
-  if (membership_.erase(key(object, node)) == 0) {
-    throw std::logic_error("HolderIndex::remove: node was not a holder");
-  }
-  const auto it = holders_.find(object);
   const PopId pop = network_->pop_of(node);
   const TreeIndex t = network_->tree_index_of(node);
-  std::vector<PopHolders>& pops = it->second.pops;
-  const auto pop_it = std::lower_bound(
-      pops.begin(), pops.end(), pop,
-      [](const PopHolders& ph, PopId p) { return ph.pop < p; });
-  std::vector<TreeIndex>& nodes = pop_it->nodes;
-  nodes.erase(std::lower_bound(nodes.begin(), nodes.end(), t));
-  if (nodes.empty()) {
-    pops.erase(pop_it);
-    if (pops.empty()) holders_.erase(it);
+  if (object < holders_.size()) {
+    std::vector<PopHolders>& pops = holders_[object].pops;
+    const auto pop_it = find_pop(pops, pop);
+    if (pop_it != pops.end() && pop_it->pop == pop) {
+      std::vector<TreeIndex>& nodes = pop_it->nodes;
+      const auto node_it = std::lower_bound(nodes.begin(), nodes.end(), t);
+      if (node_it != nodes.end() && *node_it == t) {
+        nodes.erase(node_it);
+        if (nodes.empty()) pops.erase(pop_it);
+        --size_;
+        return;
+      }
+    }
   }
+  throw std::logic_error("HolderIndex::remove: node was not a holder");
 }
 
 bool HolderIndex::holds(std::uint32_t object, GlobalNodeId node) const {
-  return membership_.count(key(object, node)) != 0;
+  if (object >= holders_.size()) return false;
+  const std::vector<PopHolders>& pops = holders_[object].pops;
+  const PopId pop = network_->pop_of(node);
+  const auto pop_it = find_pop(pops, pop);
+  return pop_it != pops.end() && pop_it->pop == pop &&
+         std::binary_search(pop_it->nodes.begin(), pop_it->nodes.end(),
+                            network_->tree_index_of(node));
 }
 
 std::optional<HolderIndex::Candidate> HolderIndex::nearest(std::uint32_t object,
                                                            GlobalNodeId leaf,
                                                            double max_cost) const {
   perf_.bump(&PerfCounters::nearest_queries);
-  const auto it = holders_.find(object);
-  if (it == holders_.end()) return std::nullopt;
+  if (object >= holders_.size()) return std::nullopt;
 
   const PopId own_pop = network_->pop_of(leaf);
   const double leaf_up = network_->root_to_level_cost(network_->level_of(leaf));
@@ -69,7 +87,7 @@ std::optional<HolderIndex::Candidate> HolderIndex::nearest(std::uint32_t object,
     }
   };
 
-  for (const PopHolders& ph : it->second.pops) {
+  for (const PopHolders& ph : holders_[object].pops) {
     if (ph.pop == own_pop) {
       // Exact tree distance to every holder in the local tree.
       perf_.bump(&PerfCounters::pops_scanned);
@@ -120,13 +138,12 @@ HolderIndex::Walk HolderIndex::walk(std::uint32_t object, GlobalNodeId leaf,
   walk_max_cost_ = max_cost;
   walk_cut_ = false;
 
-  const auto it = holders_.find(object);
-  if (it == holders_.end()) return Walk(this);
+  if (object >= holders_.size()) return Walk(this);
 
   const PopId own_pop = network_->pop_of(leaf);
   const double leaf_up = network_->root_to_level_cost(network_->level_of(leaf));
 
-  for (const PopHolders& ph : it->second.pops) {
+  for (const PopHolders& ph : holders_[object].pops) {
     if (ph.pop == own_pop) {
       // Own-PoP costs are exact tree distances (not level-monotone), so
       // this one small bucket is materialized and sorted up front.

@@ -2,23 +2,26 @@
 //
 // The paper conservatively assumes nearest-replica lookup is free (§3); the
 // simulator therefore maintains an oracle of which caches currently hold
-// each object. The index is organized per object as per-PoP holder lists
-// kept sorted by tree index. Complete k-ary trees number nodes in level
-// order, so tree-index order IS level order, and within a remote PoP the
-// cost of reaching a holder (root-descent cost) is monotone in its level:
-// the *first* element of a remote PoP's list is always that PoP's best
+// each object. The index is a vector indexed by the dense object id; each
+// object keeps per-PoP holder lists sorted by pop id, each list sorted by
+// tree index. Complete k-ary trees number nodes in level order, so
+// tree-index order IS level order, and within a remote PoP the cost of
+// reaching a holder (root-descent cost) is monotone in its level: the
+// *first* element of a remote PoP's list is always that PoP's best
 // candidate, and cost-ordered walks can stream candidates lazily instead of
-// materializing and sorting them all. A flat (object, node) hash makes
-// membership checks — and the duplicate/absence checks in add/remove — O(1)
-// instead of a linear scan.
+// materializing and sorting them all. The same sorted lists answer
+// membership — and the duplicate/absence checks in add/remove — by binary
+// search, so no per-(object, node) hash is kept beside them.
 //
 // Complexities (H = holders of the object, P = PoPs holding it, L = holders
 // in the query's own PoP):
-//   add/remove/holds     O(1) hash + O(log) bucket search (+ small moves)
-//   nearest              O(L + P)            — was O(H)
+//   holds                O(log P + log L') — L' = holders in the node's PoP
+//   add/remove           holds + O(P + L') element moves in the sorted lists
+//   nearest              O(L + P)
 //   cost-ordered walk    O(L·log L + k·log P) for k consumed candidates,
-//                        bounded pops pruned up front — was O(H log H) and
-//                        one vector allocation per query.
+//                        bounded pops pruned up front.
+// Object ids index a vector, so they must be dense (the simulator's and
+// testbed::ClusterDirectory's are); memory is O(max id + H).
 //
 // Queries reuse index-owned scratch buffers, so a single HolderIndex must
 // not be queried from multiple threads concurrently (each Simulator owns
@@ -28,8 +31,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/perf_counters.hpp"
@@ -50,7 +51,7 @@ public:
   /// std::logic_error when (object, node) is not tracked.
   void remove(std::uint32_t object, topology::GlobalNodeId node);
 
-  /// True when `node` is recorded as a holder. O(1).
+  /// True when `node` is recorded as a holder (false for unseen objects).
   [[nodiscard]] bool holds(std::uint32_t object, topology::GlobalNodeId node) const;
 
   struct Candidate {
@@ -101,7 +102,7 @@ public:
       std::uint32_t object, topology::GlobalNodeId leaf) const;
 
   /// Total (object, node) pairs tracked.
-  [[nodiscard]] std::size_t size() const noexcept { return membership_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Hot-path counters (zero-valued when the perf layer is compiled out).
   [[nodiscard]] const PerfCounters& perf() const noexcept { return perf_; }
@@ -113,12 +114,8 @@ private:
     std::vector<topology::TreeIndex> nodes;  // sorted ascending == level order
   };
   struct ObjectHolders {
-    std::vector<PopHolders> pops;  // sorted by pop id
+    std::vector<PopHolders> pops;  // sorted by pop id; empty = no holder
   };
-
-  static std::uint64_t key(std::uint32_t object, topology::GlobalNodeId node) noexcept {
-    return (static_cast<std::uint64_t>(object) << 32) | node;
-  }
 
   struct HeapEntry {
     double cost = 0.0;
@@ -131,8 +128,8 @@ private:
   void heap_push(double cost, topology::GlobalNodeId node, std::uint32_t lane) const;
 
   const topology::HierarchicalNetwork* network_;
-  std::unordered_map<std::uint32_t, ObjectHolders> holders_;
-  std::unordered_set<std::uint64_t> membership_;  ///< flat (object, node) keys
+  std::vector<ObjectHolders> holders_;  ///< indexed by object id
+  std::size_t size_ = 0;                ///< tracked (object, node) pairs
 
   // --- walk scratch (reused across queries; see class comment) ----------
   static constexpr std::uint32_t kOwnLane = 0xffffffffu;

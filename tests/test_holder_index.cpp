@@ -2,7 +2,10 @@
 // cross-checked against a brute-force oracle over random configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "core/holder_index.hpp"
 #include "topology/pop_topology.hpp"
@@ -43,6 +46,68 @@ TEST(HolderIndex, RemoveUnknownThrows) {
   EXPECT_THROW(index.remove(1, net.leaf(0, 0)), std::logic_error);
   index.add(1, net.leaf(0, 0));
   EXPECT_THROW(index.remove(1, net.leaf(0, 1)), std::logic_error);
+}
+
+TEST(HolderIndex, DuplicateAddThrowsAndLeavesIndexUnchanged) {
+  const auto net = test_network();
+  HolderIndex index(net);
+  index.add(3, net.leaf(4, 1));
+  EXPECT_THROW(index.add(3, net.leaf(4, 1)), std::logic_error);
+  // An object id above any seen so far: the first add grows the index, the
+  // second is still caught as a duplicate.
+  index.add(5000, net.pop_root(2));
+  EXPECT_THROW(index.add(5000, net.pop_root(2)), std::logic_error);
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_TRUE(index.holds(3, net.leaf(4, 1)));
+  EXPECT_TRUE(index.holds(5000, net.pop_root(2)));
+}
+
+TEST(HolderIndex, AbsentRemoveThrowsForUnseenAndUntrackedIds) {
+  const auto net = test_network();
+  HolderIndex index(net);
+  index.add(10, net.leaf(1, 0));
+  EXPECT_THROW(index.remove(10'000, net.leaf(1, 0)), std::logic_error);  // above any seen
+  EXPECT_THROW(index.remove(9, net.leaf(1, 0)), std::logic_error);       // seen range, no holder
+  EXPECT_THROW(index.remove(10, net.leaf(2, 0)), std::logic_error);      // other PoP
+  EXPECT_THROW(index.remove(10, net.leaf(1, 1)), std::logic_error);      // same PoP, other node
+  index.remove(10, net.leaf(1, 0));
+  EXPECT_THROW(index.remove(10, net.leaf(1, 0)), std::logic_error);      // already removed
+  EXPECT_EQ(index.size(), 0u);
+}
+
+TEST(HolderIndex, HoldsIsFalseForUnseenIds) {
+  const auto net = test_network();
+  HolderIndex index(net);
+  EXPECT_FALSE(index.holds(0, net.leaf(0, 0)));
+  index.add(2, net.leaf(0, 0));
+  EXPECT_FALSE(index.holds(1, net.leaf(0, 0)));
+  EXPECT_FALSE(index.holds(3, net.leaf(0, 0)));
+  EXPECT_FALSE(index.holds(0xfffffff0u, net.leaf(0, 0)));
+  EXPECT_FALSE(index.nearest(0xfffffff0u, net.leaf(0, 0)).has_value());
+  EXPECT_TRUE(index.candidates_by_cost(0xfffffff0u, net.leaf(0, 0)).empty());
+}
+
+TEST(HolderIndex, SizeTracksAddsAndRemoves) {
+  const auto net = test_network();
+  HolderIndex index(net);
+  std::vector<std::pair<std::uint32_t, GlobalNodeId>> held;
+  std::mt19937_64 rng(5);
+  for (int step = 0; step < 2000; ++step) {
+    const auto object = static_cast<std::uint32_t>(rng() % 40);
+    const auto node = static_cast<GlobalNodeId>(rng() % net.node_count());
+    const auto it = std::find(held.begin(), held.end(), std::pair{object, node});
+    if (it == held.end()) {
+      EXPECT_FALSE(index.holds(object, node));
+      index.add(object, node);
+      held.emplace_back(object, node);
+    } else {
+      EXPECT_TRUE(index.holds(object, node));
+      index.remove(object, node);
+      held.erase(it);
+    }
+    ASSERT_EQ(index.size(), held.size()) << "step " << step;
+  }
+  for (const auto& [object, node] : held) EXPECT_TRUE(index.holds(object, node));
 }
 
 TEST(HolderIndex, NearestEmptyIsNullopt) {

@@ -1,5 +1,5 @@
 // Holder-index consistency suite for the optimized (level-ordered,
-// hash-membership, lazy-walk) HolderIndex:
+// binary-searched membership, lazy-walk) HolderIndex:
 //
 //   1. Under full simulations with heavy eviction churn, the index must
 //      exactly mirror a brute-force scan of every cache's contents after

@@ -275,6 +275,34 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_EQ(a.origin_served, b.origin_served);
 }
 
+TEST(Simulator, SprintOutcomesArePinned) {
+  // The paper's outputs for a fixed Sprint replay (baseline 2-ary depth-5
+  // trees, Zipf 1.04, budget 0.05, default prefill and warm-up), recorded
+  // once. Cache and holder-index internals may change only if these stay
+  // exactly put: a different eviction order or replica choice moves them.
+  const topology::HierarchicalNetwork network(topology::make_topology("Sprint"),
+                                              topology::AccessTreeShape(2, 5));
+  SyntheticWorkloadSpec spec;
+  spec.request_count = 20'000;
+  spec.object_count = 2'000;
+  spec.alpha = 1.04;
+  spec.seed = 7;
+  const BoundWorkload workload = bind_synthetic(network, spec);
+  const OriginMap origins(network, spec.object_count,
+                          OriginAssignment::PopulationProportional, 8);
+  const SimulationConfig config;
+
+  const SimulationMetrics e = run_design(network, origins, edge(), config, workload);
+  EXPECT_EQ(e.total_hops, 31411u);
+  EXPECT_EQ(e.total_origin_served, 3823u);
+  EXPECT_EQ(e.max_link_transfers, 1161u);
+
+  const SimulationMetrics n = run_design(network, origins, icn_nr(), config, workload);
+  EXPECT_EQ(n.total_hops, 26788u);
+  EXPECT_EQ(n.total_origin_served, 1153u);
+  EXPECT_EQ(n.max_link_transfers, 959u);
+}
+
 TEST(Simulator, InvalidConfigThrowsAtConstruction) {
   // Validation happens in the constructor — before prefill or replay can
   // burn work or mutate cache state on a config that was never runnable.
