@@ -35,6 +35,15 @@ public:
     return capacity_;
   }
 
+  /// Visit the cached objects most recent first (FIFO: newest first) until
+  /// `visit(object)` returns false.
+  template <class Visit>
+  void for_each_recent(Visit visit) const {
+    for (std::uint32_t slot = head_; slot != kNil; slot = slots_[slot].next) {
+      if (!visit(slots_[slot].object)) return;
+    }
+  }
+
 private:
   static constexpr std::uint32_t kNil = FlatIndex::kAbsent;
 

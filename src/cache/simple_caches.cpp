@@ -74,4 +74,15 @@ void RandomCache::erase(ObjectId object) {
   remove_at(position);
 }
 
+void InfiniteCache::erase(ObjectId object) {
+  const std::uint32_t position = objects_.erase(object);
+  if (position == FlatIndex::kAbsent) return;
+  used_ -= members_[position].size;
+  if (position + 1 != members_.size()) {
+    members_[position] = members_.back();
+    objects_.update(members_[position].object, position);
+  }
+  members_.pop_back();
+}
+
 }  // namespace idicn::cache

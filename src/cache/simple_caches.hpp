@@ -61,10 +61,11 @@ public:
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& /*evicted*/) override {
     if (objects_.contains(object)) return;
-    objects_.insert(object, 0);
+    objects_.insert(object, static_cast<std::uint32_t>(members_.size()));
+    members_.push_back(Member{object, size});
     used_ += size;
   }
-  void erase(ObjectId object) override { objects_.erase(object); }
+  void erase(ObjectId object) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return objects_.size();
@@ -75,8 +76,14 @@ public:
   }
 
 private:
+  struct Member {
+    ObjectId object = 0;
+    std::uint64_t size = 0;  ///< given back to used_ on erase
+  };
+
   std::uint64_t used_ = 0;
-  FlatIndex objects_;  ///< membership only; every value is 0
+  std::vector<Member> members_;  ///< dense; erase swap-removes
+  FlatIndex objects_;            ///< object → position in members_
 };
 
 }  // namespace idicn::cache

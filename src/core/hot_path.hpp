@@ -1,8 +1,8 @@
 #pragma once
 
 // IDICN_HOT_PATH marks a function as part of the cache-hit serving chain:
-// the decoder fast path, the proxy hit lookup, the sharded-cache get, and
-// the ServerGroup write flush. tools/analysis/idicn_analysis.py treats
+// the decoder fast path, the proxy's fresh-HIT lookup, and the ServerGroup
+// write flush. tools/analysis/idicn_analysis.py treats
 // every annotated definition as a root and proves nothing reachable from
 // it allocates (rule `hot-path-alloc`), modulo the shrinking baseline in
 // tools/analysis/baselines/ — the ratchet toward ROADMAP item 2's

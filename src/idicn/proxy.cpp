@@ -116,6 +116,22 @@ std::size_t parse_hops(const net::HeaderMap& headers) {
   return hops;
 }
 
+/// The host a request names, exactly as it is spelled on the wire: the
+/// authority of an absolute-form "http://" target, or the Host header of
+/// an origin-form one. nullopt for any other shape. A spelling that
+/// carries a port, userinfo or capitals never matches a cached
+/// (canonical) host, so it falls through to parse_uri/parse_host.
+std::optional<std::string_view> spelled_host(const net::HttpRequest& request) {
+  constexpr std::string_view kHttp = "http://";
+  std::string_view target = request.target;
+  if (target.starts_with(kHttp)) {
+    target.remove_prefix(kHttp.size());
+    return target.substr(0, target.find_first_of("/?#"));
+  }
+  if (target.starts_with('/')) return request.headers.get_view("Host");
+  return std::nullopt;
+}
+
 }  // namespace
 
 Proxy::Proxy(net::Transport* net, net::Address self, net::Address nrs,
@@ -132,18 +148,19 @@ Proxy::Proxy(net::Transport* net, net::Address self, net::Address nrs,
   const std::uint64_t remainder = options_.capacity_bytes % count;
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    auto shard = std::make_unique<CacheShard>();
-    shard->capacity_bytes = base + (i < remainder ? 1 : 0);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(
+        std::make_unique<CacheShard>(base + (i < remainder ? 1 : 0)));
   }
 }
 
-Proxy::CacheShard& Proxy::shard_for(const std::string& host) {
-  return *shards_[std::hash<std::string>{}(host) % shards_.size()];
+Proxy::CacheShard& Proxy::shard_for(std::string_view host) const {
+  if (shards_.size() == 1) return *shards_.front();
+  return *shards_[HostHash{}(host) % shards_.size()];
 }
 
-const Proxy::CacheShard& Proxy::shard_for(const std::string& host) const {
-  return *shards_[std::hash<std::string>{}(host) % shards_.size()];
+cache::ObjectId Proxy::CacheShard::find(std::string_view host) const {
+  const auto it = ids.find(host);
+  return it == ids.end() ? cache::FlatIndex::kAbsent : it->second;
 }
 
 core::PerfCounters Proxy::perf() const {
@@ -159,7 +176,7 @@ std::uint64_t Proxy::cached_bytes() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     const core::sync::MutexLock lock(shard->mutex);
-    total += shard->used_bytes;
+    total += shard->lru.used_units();
   }
   return total;
 }
@@ -168,7 +185,7 @@ std::size_t Proxy::cached_objects() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     const core::sync::MutexLock lock(shard->mutex);
-    total += shard->entries.size();
+    total += shard->lru.object_count();
   }
   return total;
 }
@@ -176,51 +193,40 @@ std::size_t Proxy::cached_objects() const {
 bool Proxy::is_cached(const std::string& host) const {
   const CacheShard& shard = shard_for(host);
   const core::sync::MutexLock lock(shard.mutex);
-  return shard.entries.find(host) != shard.entries.end();
+  return shard.find(host) != cache::FlatIndex::kAbsent;
 }
 
-void Proxy::touch(CacheShard& shard, const std::string& host) {
-  const auto it = shard.entries.find(host);
-  shard.lru.erase(it->second.lru_position);
-  shard.lru.push_front(host);
-  it->second.lru_position = shard.lru.begin();
-}
-
-void Proxy::evict_until_fits(CacheShard& shard, std::uint64_t incoming) {
-  while (!shard.lru.empty() &&
-         shard.used_bytes + incoming > shard.capacity_bytes) {
-    const std::string victim = shard.lru.back();
-    shard.lru.pop_back();
-    const auto it = shard.entries.find(victim);
-    shard.used_bytes -= it->second.body.size();
-    shard.entries.erase(it);
+cache::ObjectId Proxy::cache_store(CacheShard& shard, Entry& entry) {
+  const std::uint64_t size = entry.body.size();
+  if (size > shard.lru.capacity_units()) return cache::FlatIndex::kAbsent;
+  cache::ObjectId id = shard.find(entry.host);
+  if (id != cache::FlatIndex::kAbsent) {
+    shard.lru.erase(id);  // a refetched copy: re-admitted at its new size
+  } else {
+    if (shard.free_ids.empty()) {
+      id = static_cast<cache::ObjectId>(shard.entries.size());
+      shard.entries.emplace_back(nullptr);
+    } else {
+      id = shard.free_ids.back();
+      shard.free_ids.pop_back();
+    }
+    shard.ids.emplace(entry.host, id);
+  }
+  std::vector<cache::ObjectId> evicted;
+  shard.lru.insert(id, size, evicted);
+  for (const cache::ObjectId victim : evicted) {
+    shard.ids.erase(shard.entries[victim]->host);
+    shard.entries[victim].reset();
+    shard.free_ids.push_back(victim);
     ++stats_.evictions;
   }
+  shard.entries[id] = std::make_unique<Entry>(std::move(entry));
+  return id;
 }
 
-bool Proxy::cache_store(CacheShard& shard, const std::string& host,
-                        Entry& entry) {
-  if (entry.body.size() > shard.capacity_bytes) return false;  // too large
-  const auto existing = shard.entries.find(host);
-  if (existing != shard.entries.end()) {
-    shard.used_bytes -= existing->second.body.size();
-    shard.lru.erase(existing->second.lru_position);
-    shard.entries.erase(existing);
-  }
-  evict_until_fits(shard, entry.body.size());
-  shard.used_bytes += entry.body.size();
-  shard.lru.push_front(host);
-  entry.lru_position = shard.lru.begin();
-  shard.entries.emplace(host, std::move(entry));
-  return true;
-}
-
-IDICN_HOT_PATH net::HttpResponse Proxy::serve_entry(CacheShard& shard,
-                                                    const std::string& host,
-                                                    Entry& entry, bool hit,
-                                                    bool full_metadata) {
-  stats_.bytes_served += entry.body.size();
-  shard.perf.bump(&core::PerfCounters::proxy_bytes_served, entry.body.size());
+net::HttpResponse Proxy::entry_response(const Entry& entry,
+                                        const char* cache_mark,
+                                        bool full_metadata) const {
   // References the entry's chunks — no body copy per response; N
   // concurrent readers of one cached object share one copy of the bytes.
   net::HttpResponse response =
@@ -231,26 +237,33 @@ IDICN_HOT_PATH net::HttpResponse Proxy::serve_entry(CacheShard& shard,
   // proxy's own verification and get the cheap name+digest hint.
   if (entry.metadata) entry.metadata->apply_to(response.headers, full_metadata);
   if (!entry.etag.empty()) response.headers.set("ETag", entry.etag);
-  response.headers.set("X-Cache", hit ? "HIT" : "MISS");
+  response.headers.set("X-Cache", cache_mark);
   response.headers.set("Via", self_);
-  if (hit) touch(shard, host);
   return response;
 }
 
-net::HttpResponse Proxy::store_and_serve(CacheShard& shard,
-                                         const std::string& host, Entry entry,
+net::HttpResponse Proxy::serve_entry(CacheShard& shard, cache::ObjectId id,
+                                     const Entry& entry, bool hit,
+                                     bool full_metadata) {
+  stats_.bytes_served += entry.body.size();
+  shard.perf.bump(&core::PerfCounters::proxy_bytes_served, entry.body.size());
+  if (hit) (void)shard.lru.lookup(id);
+  return entry_response(entry, hit ? "HIT" : "MISS", full_metadata);
+}
+
+net::HttpResponse Proxy::store_and_serve(CacheShard& shard, Entry entry,
                                          bool full_metadata) {
   // Where the bytes actually came from (origin, mirror, or sibling proxy):
   // exposed so the testbed's driver can charge the transfer to the real
   // core-graph path rather than assuming proxy→origin.
   const net::Address source = entry.fetched_from;
   const core::sync::MutexLock lock(shard.mutex);
+  const cache::ObjectId id = cache_store(shard, entry);
   net::HttpResponse response =
-      cache_store(shard, host, entry)
-          ? serve_entry(shard, host, shard.entries.find(host)->second, false,
-                        full_metadata)
+      id != cache::FlatIndex::kAbsent
+          ? serve_entry(shard, id, *shard.entries[id], false, full_metadata)
           // Larger than the shard's slice: serve the fetched copy uncached.
-          : serve_entry(shard, host, entry, false, full_metadata);
+          : serve_entry(shard, id, entry, false, full_metadata);
   if (!source.empty()) response.headers.set(kSourceHeader, source);
   return response;
 }
@@ -278,10 +291,12 @@ std::vector<std::string> Proxy::hint_digest() const {
   for (const auto& shard : shards_) {
     if (digest.size() >= options_.max_hint_entries) break;
     const core::sync::MutexLock lock(shard->mutex);
-    for (const std::string& host : shard->lru) {  // front = most recent
-      if (digest.size() >= options_.max_hint_entries) break;
-      digest.push_back(host);
-    }
+    const std::vector<std::unique_ptr<Entry>>& entries = shard->entries;
+    shard->lru.for_each_recent([&](cache::ObjectId id) {
+      if (digest.size() >= options_.max_hint_entries) return false;
+      digest.push_back(entries[id]->host);
+      return true;
+    });
   }
   return digest;
 }
@@ -332,11 +347,11 @@ std::optional<net::HttpResponse> Proxy::serve_stale(CacheShard& shard,
                                                     const std::string& host,
                                                     bool full_metadata) {
   const core::sync::MutexLock lock(shard.mutex);
-  const auto cached = shard.entries.find(host);
-  if (cached == shard.entries.end()) return std::nullopt;  // evicted meanwhile
+  const cache::ObjectId id = shard.find(host);
+  if (id == cache::FlatIndex::kAbsent) return std::nullopt;  // evicted meanwhile
   ++stats_.stale_served;
   net::HttpResponse response =
-      serve_entry(shard, host, cached->second, true, full_metadata);
+      serve_entry(shard, id, *shard.entries[id], true, full_metadata);
   // RFC 7234 §5.5.1 stale warning plus an explicit idICN marker so clients
   // (and the chaos harness) can tell degraded service from a fresh hit.
   response.headers.set("Warning", "110 - \"Response is Stale\"");
@@ -474,26 +489,24 @@ private:
     std::optional<net::HttpResponse> immediate;
     {
       const core::sync::MutexLock lock(shard.mutex);
-      const auto cached = shard.entries.find(host_);
-      if (cached != shard.entries.end()) {
-        const bool fresh = proxy_->net_->now_ms() -
-                               cached->second.stored_at_ms <=
+      const cache::ObjectId id = shard.find(host_);
+      if (id != cache::FlatIndex::kAbsent) {
+        const Entry& cached = *shard.entries[id];
+        const bool fresh = proxy_->net_->now_ms() - cached.stored_at_ms <=
                            proxy_->options_.freshness_ms;
         if (fresh) {
           ++proxy_->stats_.hits;
-          immediate = proxy_->serve_entry(shard, host_, cached->second, true,
-                                          full_metadata_);
+          immediate =
+              proxy_->serve_entry(shard, id, cached, true, full_metadata_);
         } else {
           ++proxy_->stats_.expired;
           stale_ = true;
-          stale_etag_ = cached->second.etag;
-          stale_fetched_from_ = cached->second.fetched_from;
+          stale_etag_ = cached.etag;
+          stale_fetched_from_ = cached.fetched_from;
           // The expired copy's metalink mirrors join the multi-source
           // candidate set — replicas we learned about the last time the
           // object verified.
-          if (cached->second.metadata) {
-            stale_mirrors_ = cached->second.metadata->mirrors;
-          }
+          if (cached.metadata) stale_mirrors_ = cached.metadata->mirrors;
         }
       }
       // Another worker is already fetching this object: join its stream
@@ -543,12 +556,13 @@ private:
       std::optional<net::HttpResponse> renewed_response;
       {
         const core::sync::MutexLock lock(shard.mutex);
-        const auto renewed = shard.entries.find(host_);
-        if (renewed != shard.entries.end()) {
-          renewed->second.stored_at_ms = proxy_->net_->now_ms();  // fresh again
+        const cache::ObjectId id = shard.find(host_);
+        if (id != cache::FlatIndex::kAbsent) {
+          Entry& renewed = *shard.entries[id];
+          renewed.stored_at_ms = proxy_->net_->now_ms();  // fresh again
           ++proxy_->stats_.hits;
-          renewed_response = proxy_->serve_entry(shard, host_, renewed->second,
-                                                 true, full_metadata_);
+          renewed_response = proxy_->serve_entry(shard, id, renewed, true,
+                                                 full_metadata_);
         }
       }
       if (renewed_response) {
@@ -952,16 +966,17 @@ private:
   /// but skips the serve (settle drops the response anyway).
   void deliver_entry(Entry entry, const char* cache_mark) {
     CacheShard& shard = proxy_->shard_for(host_);
+    entry.host = host_;
     if (cancelled_) {
       {
         const core::sync::MutexLock lock(shard.mutex);
-        proxy_->cache_store(shard, host_, entry);
+        (void)proxy_->cache_store(shard, entry);
       }
       settle(net::HttpResponse{});
       return;
     }
     net::HttpResponse response =
-        proxy_->store_and_serve(shard, host_, std::move(entry), full_metadata_);
+        proxy_->store_and_serve(shard, std::move(entry), full_metadata_);
     if (cache_mark != nullptr) response.headers.set("X-Cache", cache_mark);
     settle(std::move(response));
   }
@@ -1010,17 +1025,64 @@ net::HttpResponse Proxy::handle_http(const net::HttpRequest& request,
                     [&response](net::HttpResponse settled) {
                       response = std::move(settled);
                     });
+  // In-process callers read every header field, so a prebuilt HIT head is
+  // parsed back into the header map here, off the socket serving path.
+  response.expand_head();
+  return response;
+}
+
+IDICN_HOT_PATH std::optional<net::HttpResponse> Proxy::serve_fresh_hit(
+    std::string_view host, bool full_metadata) {
+  CacheShard& shard = shard_for(host);
+  net::HttpResponse response;
+  {
+    const core::sync::MutexLock lock(shard.mutex);
+    const cache::ObjectId id = shard.find(host);
+    if (id == cache::FlatIndex::kAbsent) return std::nullopt;
+    Entry& entry = *shard.entries[id];
+    if (net_->now_ms() - entry.stored_at_ms > options_.freshness_ms) {
+      return std::nullopt;  // stale: revalidation is upstream I/O
+    }
+    core::Chunk& head = entry.hit_heads[full_metadata ? 1 : 0];
+    if (head.empty()) {
+      // The general path's own HIT response, as FetchOp::settle would send
+      // it, serialized once: the prebuilt head cannot drift from it.
+      net::HttpResponse general = entry_response(entry, "HIT", full_metadata);
+      if (!options_.pop_name.empty()) {
+        general.headers.set(kPopHeader, options_.pop_name);
+      }
+      head = core::Chunk::from_string(general.serialize_head());
+    }
+    ++stats_.hits;
+    stats_.bytes_served += entry.body.size();
+    shard.perf.bump(&core::PerfCounters::proxy_bytes_served, entry.body.size());
+    (void)shard.lru.lookup(id);
+    response.head = head;
+    response.stream_body = entry.body;
+  }
+  // The wire head has its own copy; this one is for in-process observers.
+  response.headers.add("X-Cache", "HIT");
   return response;
 }
 
 std::optional<net::HttpResponse> Proxy::serve_if_fresh_hit(
     const net::HttpRequest& request) {
   if (request.method != "GET") return std::nullopt;
+  // 206/416 rewrite the head: FetchOp::settle applies the range to a
+  // general-path response.
+  if (request.headers.contains("Range")) return std::nullopt;
+  const bool full_metadata = request.headers.contains(kIcpQueryHeader) ||
+                             request.headers.contains(kWantMetadataHeader);
+  const auto spelled = spelled_host(request);
+  if (spelled) {
+    if (auto hit = serve_fresh_hit(*spelled, full_metadata)) return hit;
+  }
+  // Canonicalize the way FetchOp::dispatch does, then look up again.
   std::string host;
   const auto uri = net::parse_uri(request.target);
   if (uri && !uri->host.empty()) {
     host = uri->host;
-  } else if (const auto host_header = request.headers.get("Host")) {
+  } else if (const auto host_header = request.headers.get_view("Host")) {
     host = *host_header;
   } else {
     return std::nullopt;  // 400 — the machine words the error
@@ -1028,33 +1090,8 @@ std::optional<net::HttpResponse> Proxy::serve_if_fresh_hit(
   const auto name = SelfCertifyingName::parse_host(host);
   if (!name) return std::nullopt;  // legacy forward
   host = name->host();
-  const bool peer_query = request.headers.contains(kIcpQueryHeader);
-  const bool full_metadata =
-      peer_query || request.headers.contains(kWantMetadataHeader);
-
-  CacheShard& shard = shard_for(host);
-  std::optional<net::HttpResponse> response;
-  {
-    const core::sync::MutexLock lock(shard.mutex);
-    const auto cached = shard.entries.find(host);
-    if (cached == shard.entries.end()) return std::nullopt;
-    const bool fresh =
-        net_->now_ms() - cached->second.stored_at_ms <= options_.freshness_ms;
-    if (!fresh) return std::nullopt;  // stale: revalidation is upstream I/O
-    ++stats_.hits;
-    response = serve_entry(shard, host, cached->second, true, full_metadata);
-  }
-  // Mirrors FetchOp::settle: Range rewrite on the idICN path (cooperative
-  // queries never carry one), then PoP attribution.
-  if (!peer_query) {
-    if (const auto range = request.headers.get_view("Range")) {
-      net::apply_byte_range(*range, *response);
-    }
-  }
-  if (!options_.pop_name.empty()) {
-    response->headers.set(kPopHeader, options_.pop_name);
-  }
-  return response;
+  if (spelled && host == *spelled) return std::nullopt;  // already looked up
+  return serve_fresh_hit(host, full_metadata);
 }
 
 std::shared_ptr<net::AsyncOp> Proxy::handle_http_async(

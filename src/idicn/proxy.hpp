@@ -33,29 +33,36 @@
 // worker's event loop is never blocked on upstream I/O (a cache HIT on the
 // same worker keeps flowing while a MISS fetch is in flight). The
 // synchronous handle_http drives the identical machine with a null
-// executor, where every transport hop completes inline. The content store
-// is striped across Options::cache_shards shards (host-hashed, each a
-// private entries-map + LRU list + byte budget behind its own Mutex, the
-// same layout cache::ShardedCache gives the simulator policies); shard
-// locks are never held across network I/O or a client respond — a stale
-// hit snapshots its validators, revalidates unlocked, then re-locks to
-// renew. Counters:
-// Stats is relaxed-atomic (live sampling from anywhere), PerfCounters are
-// per-shard plain integers bumped under the shard lock and merged by
-// perf(). add_peer() is setup-time only — call it before serving starts.
-// cache_shards=1 (the default) keeps hit/eviction behavior byte-identical
-// to the single-threaded PR-3 proxy; with S shards each shard caches its
-// slice of the host space in capacity_bytes/S.
+// executor, where every transport hop completes inline.
+//
+// Content store: striped across Options::cache_shards shards
+// (host-hashed). Each shard interns its cached hosts to small ids, keeps
+// recency and its byte budget in a cache::LruCache over those ids (the
+// simulator's LRU), and holds the entries in a vector indexed by id,
+// behind its own Mutex. An entry keeps its serialized 200 HIT head, one
+// per metadata variant, so a fresh HIT is a lookup plus a reference to
+// that head and the body chunks (serve_if_fresh_hit). Shard locks are
+// never held across network I/O or a client respond — a stale hit
+// snapshots its validators, revalidates unlocked, then re-locks to renew.
+// Counters: Stats is relaxed-atomic (live sampling from anywhere),
+// PerfCounters are per-shard plain integers bumped under the shard lock
+// and merged by perf(). add_peer() is setup-time only — call it before
+// serving starts. cache_shards=1 (the default) keeps hit/eviction behavior
+// byte-identical to the single-threaded PR-3 proxy; with S shards each
+// shard caches its slice of the host space in capacity_bytes/S.
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "cache/lru_cache.hpp"
 #include "core/buffer.hpp"
 #include "core/perf_counters.hpp"
 #include "core/sync.hpp"
@@ -243,6 +250,7 @@ private:
   /// The continuation-passing serving machine (defined in proxy.cpp).
   class FetchOp;
   struct Entry {
+    std::string host;  ///< the canonical name this entry is cached under
     /// Chunk-granular body: the same shared chunks the object arrived in
     /// (and that any concurrent stream-joiners are reading). Serving a hit
     /// references them — N concurrent readers of one cached object cost
@@ -253,28 +261,51 @@ private:
     std::string etag;          ///< validator for conditional refreshes
     net::Address fetched_from; ///< where a revalidation should go
     std::uint64_t stored_at_ms = 0;
-    std::list<std::string>::iterator lru_position;
+    /// The serialized fresh-HIT head, indexed by full_metadata (hint,
+    /// full). Each is built from the general path's own response on the
+    /// variant's first HIT and shared by every later HIT response.
+    core::Chunk hit_heads[2];
   };
 
-  /// One lock stripe of the content store: a private host→entry map, LRU
-  /// list, and byte budget. All serving state is guarded by `mutex`; the
-  /// capacity slice is immutable after construction.
+  /// Heterogeneous hashing, so a host is looked up straight from the
+  /// request's bytes without building a std::string key.
+  struct HostHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view host) const noexcept {
+      return std::hash<std::string_view>{}(host);
+    }
+  };
+
+  /// One lock stripe of the content store. All serving state is guarded by
+  /// `mutex`; the capacity slice is immutable after construction.
   struct CacheShard {
+    explicit CacheShard(std::uint64_t capacity) : lru(capacity) {}
+
+    /// The id `host` is cached under, or FlatIndex::kAbsent.
+    [[nodiscard]] cache::ObjectId find(std::string_view host) const
+        IDICN_REQUIRES(mutex);
+
     mutable core::sync::Mutex mutex;
-    std::map<std::string, Entry> entries IDICN_GUARDED_BY(mutex);
-    std::list<std::string> lru IDICN_GUARDED_BY(mutex);  ///< front = most recent
+    /// Cached host → id. An id names a slot of `entries` and the object in
+    /// `lru`; evicted ids are recycled through `free_ids`.
+    std::unordered_map<std::string, cache::ObjectId, HostHash, std::equal_to<>>
+        ids IDICN_GUARDED_BY(mutex);
+    /// One heap record per entry (null when the id is free): an Entry is
+    /// tens of kilobytes with its inline signature, too big to keep
+    /// contiguous through vector growth.
+    std::vector<std::unique_ptr<Entry>> entries IDICN_GUARDED_BY(mutex);
+    std::vector<cache::ObjectId> free_ids IDICN_GUARDED_BY(mutex);
+    /// Recency, byte budget (units are body bytes) and eviction order.
+    cache::LruCache lru IDICN_GUARDED_BY(mutex);
     /// Objects currently being fetched through this shard: later requests
     /// for the same host join the in-flight stream instead of fetching
     /// again. Retired (erased) when the fetch completes or fails.
     std::map<std::string, std::shared_ptr<detail::Transit>> transit
         IDICN_GUARDED_BY(mutex);
-    std::uint64_t used_bytes IDICN_GUARDED_BY(mutex) = 0;
     core::PerfCounters perf IDICN_GUARDED_BY(mutex);
-    std::uint64_t capacity_bytes = 0;  ///< this shard's slice; construction-time
   };
 
-  [[nodiscard]] CacheShard& shard_for(const std::string& host);
-  [[nodiscard]] const CacheShard& shard_for(const std::string& host) const;
+  [[nodiscard]] CacheShard& shard_for(std::string_view host) const;
 
   /// Ingest a sibling's content digest (POST /idicn-hint).
   net::HttpResponse serve_hint(const net::HttpRequest& request);
@@ -291,32 +322,39 @@ private:
   /// Admit a fetched entry into `shard` (evicting as needed) and serve it.
   /// An entry too large for the shard's slice is served without being
   /// admitted.
-  net::HttpResponse store_and_serve(CacheShard& shard, const std::string& host,
-                                    Entry entry, bool full_metadata)
+  net::HttpResponse store_and_serve(CacheShard& shard, Entry entry,
+                                    bool full_metadata)
       IDICN_EXCLUDES(shard.mutex);
 
-  net::HttpResponse serve_entry(CacheShard& shard, const std::string& host,
-                                Entry& entry, bool hit, bool full_metadata)
+  /// The general path: a 200 for `entry` with its head built field by
+  /// field, marked `cache_mark`. No counters, no recency update.
+  [[nodiscard]] net::HttpResponse entry_response(const Entry& entry,
+                                                 const char* cache_mark,
+                                                 bool full_metadata) const;
+  /// entry_response plus the served-bytes counters; a HIT also refreshes
+  /// the entry's recency (`id` is its slot, or kAbsent when uncached).
+  net::HttpResponse serve_entry(CacheShard& shard, cache::ObjectId id,
+                                const Entry& entry, bool hit,
+                                bool full_metadata)
       IDICN_REQUIRES(shard.mutex);
-  /// Allocation-light step-7 fast path shared by both entry points: a GET
-  /// for a valid idICN name with a fresh cached copy is served without
-  /// constructing the FetchOp machine (the hot-path-alloc ratchet counts
-  /// every heap allocation on the hit chain). nullopt falls through to the
-  /// full machine — misses, stale entries, transit joins, hints, legacy.
+  /// Step 7 for both entry points: a fresh cached copy, no Range header,
+  /// answered with the entry's prebuilt HIT head and its body chunks — no
+  /// header building and no FetchOp. The host is looked up as the request
+  /// spells it; parse_uri/parse_host run only when that misses. nullopt
+  /// falls through to the machine (misses, stale, ranges, joins, legacy).
   std::optional<net::HttpResponse> serve_if_fresh_hit(
       const net::HttpRequest& request);
+  /// serve_if_fresh_hit for one spelling of the host.
+  std::optional<net::HttpResponse> serve_fresh_hit(std::string_view host,
+                                                   bool full_metadata);
   /// Join a request to an in-flight fetch: a producer-backed response that
   /// serves the already-arrived prefix immediately and the tail as it
   /// streams from upstream (X-Cache: STREAM).
   net::HttpResponse serve_transit(const std::shared_ptr<detail::Transit>& transit,
                                   bool full_metadata);
-  /// True when admitted (entry moved into the shard); false when the body
-  /// exceeds the shard's capacity slice (entry untouched).
-  bool cache_store(CacheShard& shard, const std::string& host, Entry& entry)
-      IDICN_REQUIRES(shard.mutex);
-  void touch(CacheShard& shard, const std::string& host)
-      IDICN_REQUIRES(shard.mutex);
-  void evict_until_fits(CacheShard& shard, std::uint64_t incoming)
+  /// Admit `entry` (moved into the shard) and return its id, or kAbsent —
+  /// entry untouched — when the body exceeds the shard's capacity slice.
+  cache::ObjectId cache_store(CacheShard& shard, Entry& entry)
       IDICN_REQUIRES(shard.mutex);
 
   net::Transport* net_;

@@ -143,6 +143,7 @@ std::string HttpResponse::full_body() const {
 }
 
 core::ChunkedBody HttpResponse::take_body_chunks() {
+  if (body.empty()) return std::exchange(stream_body, {});
   core::ChunkedBody out;
   if (!body.empty()) out.append(core::Chunk::from_string(std::move(body)));
   body.clear();
@@ -151,6 +152,7 @@ core::ChunkedBody HttpResponse::take_body_chunks() {
 }
 
 std::string HttpResponse::serialize_head() const {
+  if (!head.empty()) return std::string(head.view());
   std::string out;
   // One up-front allocation: start line + fields + derived framing line.
   out.reserve(version.size() + reason.size() + 8 + fields_wire_size(headers) +
@@ -187,6 +189,29 @@ std::string HttpResponse::serialize_head() const {
   }
   out += "\r\n";
   return out;
+}
+
+core::Chunk HttpResponse::head_chunk() const {
+  return head.empty() ? core::Chunk::from_string(serialize_head()) : head;
+}
+
+void HttpResponse::expand_head() {
+  if (head.empty()) return;
+  std::string_view text = head.view();
+  const std::size_t eol = text.find("\r\n");
+  // The head was serialized by this codec, so it always parses; the
+  // checks only keep a corrupt chunk from reading out of bounds.
+  if (eol != std::string_view::npos &&
+      detail::parse_status_line(text.substr(0, eol), *this, nullptr)) {
+    headers = HeaderMap{};
+    text.remove_prefix(eol + 2);
+    for (std::size_t end = text.find("\r\n"); end != 0 && end != std::string_view::npos;
+         end = text.find("\r\n")) {
+      (void)detail::parse_header_line(text.substr(0, end), headers, nullptr);
+      text.remove_prefix(end + 2);
+    }
+  }
+  head = core::Chunk{};
 }
 
 std::string HttpResponse::serialize() const {
@@ -362,21 +387,18 @@ bool apply_byte_range(std::string_view range_value, HttpResponse& response) {
   const std::uint64_t size = response.body_size();
 
   ByteRange range;
-  switch (parse_byte_range(range_value, size, &range)) {
-    case RangeParse::Ignore:
-      return false;
-    case RangeParse::Unsatisfiable: {
-      response.status = 416;
-      response.reason = std::string(default_reason(416));
-      response.body = "requested range not satisfiable";
-      response.stream_body.clear();
-      response.headers.set("Content-Range", "bytes */" + std::to_string(size));
-      response.headers.set("Content-Type", "text/plain");
-      response.headers.set("Content-Length", std::to_string(response.body.size()));
-      return true;
-    }
-    case RangeParse::Ok:
-      break;
+  const RangeParse parsed = parse_byte_range(range_value, size, &range);
+  if (parsed == RangeParse::Ignore) return false;
+  response.expand_head();  // both rewrites below edit the head
+  if (parsed == RangeParse::Unsatisfiable) {
+    response.status = 416;
+    response.reason = std::string(default_reason(416));
+    response.body = "requested range not satisfiable";
+    response.stream_body.clear();
+    response.headers.set("Content-Range", "bytes */" + std::to_string(size));
+    response.headers.set("Content-Type", "text/plain");
+    response.headers.set("Content-Length", std::to_string(response.body.size()));
+    return true;
   }
 
   // Slice in place: the flat part (if any) becomes a chunk so boundary

@@ -119,6 +119,13 @@ struct HttpResponse {
   /// Incremental source for bytes that do not exist yet (runtime write
   /// path only; serialize() throws when set).
   std::shared_ptr<BodyProducer> producer;
+  /// A prebuilt wire head (start line + header block + blank line), shared
+  /// with whoever built it — the proxy keeps one per cached object and
+  /// metadata variant. When set it *is* the head: serialize_head() returns
+  /// it verbatim and `headers` is not serialized; `headers` then carries
+  /// only the fields in-process observers read (the proxy's X-Cache mark).
+  /// Code that edits or reads the whole head calls expand_head() first.
+  core::Chunk head;
 
   /// Total body bytes across the flat and chunked representations
   /// (producer bytes excluded — they are not materialized).
@@ -137,6 +144,13 @@ struct HttpResponse {
   /// otherwise Content-Length is the materialized body size — unless a
   /// producer with unknown total size forces `Transfer-Encoding: chunked`.
   [[nodiscard]] std::string serialize_head() const;
+  /// The head as the serving runtime queues it: the prebuilt `head` itself
+  /// (a reference, no copy) when set, else serialize_head() in a new chunk.
+  [[nodiscard]] core::Chunk head_chunk() const;
+  /// Parse a prebuilt `head` back into version/status/reason/headers and
+  /// drop it, so the response can be edited or fully inspected. No-op when
+  /// there is no prebuilt head.
+  void expand_head();
   /// Head + materialized body. Throws std::logic_error when a producer is
   /// attached — producer bytes can only be pulled by the serving runtime.
   [[nodiscard]] std::string serialize() const;

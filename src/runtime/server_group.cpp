@@ -205,9 +205,17 @@ class ServerWorker {
     return thread_.get_id();
   }
 
-  [[nodiscard]] ServerGroup::Stats stats() const IDICN_EXCLUDES(stats_mutex_) {
-    const core::sync::MutexLock lock(stats_mutex_);
-    return stats_;
+  [[nodiscard]] ServerGroup::Stats stats() const {
+    ServerGroup::Stats out;
+    out.connections_accepted = counters_.connections_accepted;
+    out.connections_closed = counters_.connections_closed;
+    out.connections_rejected = counters_.connections_rejected;
+    out.requests_served = counters_.requests_served;
+    out.bytes_in = counters_.bytes_in;
+    out.bytes_out = counters_.bytes_out;
+    out.decode_errors = counters_.decode_errors;
+    out.timeouts = counters_.timeouts;
+    return out;
   }
 
  private:
@@ -219,7 +227,7 @@ class ServerWorker {
     /// leave in request order even when a parked MISS resolves after a
     /// later pipelined HIT.
     struct ResponseSlot {
-      std::uint64_t id = 0;
+      std::uint32_t id = 0;  ///< from the worker's next_slot_id_
       bool ready = false;          ///< response present; may drain at front
       bool count_served = false;   ///< tally in requests_served on drain
       bool peer_wants_close = false;  ///< request asked to close after it
@@ -256,10 +264,6 @@ class ServerWorker {
     /// order. Non-empty ⇔ the front slot is still parked on its handler
     /// (ready fronts drain immediately).
     std::deque<ResponseSlot> slots;
-    std::uint64_t next_slot_id = 1;
-    /// Distinguishes this connection from a later one reusing the same fd,
-    /// so a parked handler's late respond callback cannot cross wires.
-    std::uint64_t generation = 0;
     /// True while serve_decoded is inside handle_http_async: an inline
     /// respond just fills its slot and lets the dispatch loop drain.
     bool in_handler = false;
@@ -302,8 +306,7 @@ class ServerWorker {
                             std::to_string(options_.retry_after_s));
       const std::string reply = rejection.serialize_head() + rejection.body;
       (void)!::send(fd.get(), reply.data(), reply.size(), MSG_NOSIGNAL);
-      const core::sync::MutexLock lock(stats_mutex_);
-      ++stats_.connections_rejected;
+      bump(counters_.connections_rejected);
       return;  // ScopedFd closes
     }
     set_nonblocking(fd.get());
@@ -312,7 +315,6 @@ class ServerWorker {
     const int raw = fd.get();
     auto conn = std::make_unique<Connection>(std::move(fd), std::move(peer),
                                              options_.decoder_limits);
-    conn->generation = next_generation_++;
     conn->last_activity_ms = loop_->now_ms();
     arm_timer(*conn);
     loop_->watch(raw, true, false,
@@ -322,8 +324,7 @@ class ServerWorker {
                  });
     connections_.emplace(raw, std::move(conn));
     ++active_;
-    const core::sync::MutexLock lock(stats_mutex_);
-    ++stats_.connections_accepted;
+    bump(counters_.connections_accepted);
   }
 
   void arm_timer(Connection& conn) IDICN_REQUIRES(loop_role_) {
@@ -365,16 +366,13 @@ class ServerWorker {
         !parked && now - conn.last_activity_ms >= options_.idle_timeout_ms;
 
     if (request_expired || idle_expired) {
-      {
-        const core::sync::MutexLock lock(stats_mutex_);
-        ++stats_.timeouts;
-      }
+      bump(counters_.timeouts);
       if (request_expired) {
         // Pre-resolved slot: the 408 queues behind any earlier parked
         // responses instead of jumping the pipeline.
         conn.slots.push_back({});
         Connection::ResponseSlot& slot = conn.slots.back();
-        slot.id = conn.next_slot_id++;
+        slot.id = next_slot_id_++;
         slot.ready = true;
         slot.response = net::make_response(408, "request timed out");
         drain_slots(conn);
@@ -392,8 +390,8 @@ class ServerWorker {
     if (it == connections_.end()) return;
     // The client went away: abort parked handler work so the host stops
     // fetching for a response nobody will read. A respond callback that
-    // races the abort finds the fd gone (or the generation changed) and
-    // drops its response.
+    // races the abort finds the fd gone (or, if the fd was reused, no slot
+    // with its id) and drops its response.
     for (Connection::ResponseSlot& slot : it->second->slots) {
       if (slot.op != nullptr) slot.op->abort();
     }
@@ -401,10 +399,7 @@ class ServerWorker {
     loop_->unwatch(fd);
     connections_.erase(it);  // ScopedFd closes
     --active_;
-    {
-      const core::sync::MutexLock lock(stats_mutex_);
-      ++stats_.connections_closed;
-    }
+    bump(counters_.connections_closed);
     group_->notify_connection_closed();  // a drain wait may be pending
   }
 
@@ -421,24 +416,26 @@ class ServerWorker {
         if (connection) return *connection == "close" || *connection == "Close";
         return request->version == "HTTP/1.0";
       }();
+      const std::uint32_t slot_id = next_slot_id_++;
       conn.slots.push_back({});
       {
         Connection::ResponseSlot& slot = conn.slots.back();
-        slot.id = conn.next_slot_id++;
+        slot.id = slot_id;
         slot.count_served = true;
         slot.peer_wants_close = peer_wants_close;
       }
-      const std::uint64_t slot_id = conn.slots.back().id;
-      const std::uint64_t generation = conn.generation;
 
+      const auto respond = [this, fd, slot_id](net::HttpResponse response) {
+        loop_role_.assert_held();
+        resolve_slot(fd, slot_id, std::move(response));
+      };
+      // Two pointers' worth of capture is what std::function (libstdc++)
+      // stores inline: the respond costs no allocation per request.
+      static_assert(sizeof(respond) <= 2 * sizeof(void*));
       conn.in_handler = true;  // inline respond defers to the drain below
       try {
-        auto op = host_->handle_http_async(
-            *request, conn.peer, loop_.get(),
-            [this, fd, generation, slot_id](net::HttpResponse response) {
-              loop_role_.assert_held();
-              resolve_slot(fd, generation, slot_id, std::move(response));
-            });
+        auto op = host_->handle_http_async(*request, conn.peer, loop_.get(),
+                                           respond);
         // Keep the cancellation handle only while the request is parked,
         // so close_connection can tell the host the client went away.
         if (op != nullptr) {
@@ -450,7 +447,7 @@ class ServerWorker {
           }
         }
       } catch (const std::exception& e) {
-        resolve_slot(fd, generation, slot_id,
+        resolve_slot(fd, slot_id,
                      net::make_response(
                          500, std::string("handler error: ") + e.what()));
       }
@@ -465,15 +462,12 @@ class ServerWorker {
     if (draining_) conn.closing = true;
 
     if (conn.decoder.failed()) {
-      {
-        const core::sync::MutexLock lock(stats_mutex_);
-        ++stats_.decode_errors;
-      }
+      bump(counters_.decode_errors);
       // Pre-resolved slot so the error response queues behind any parked
       // requests instead of jumping the pipeline.
       conn.slots.push_back({});
       Connection::ResponseSlot& slot = conn.slots.back();
-      slot.id = conn.next_slot_id++;
+      slot.id = next_slot_id_++;
       slot.ready = true;
       slot.response = net::make_response(conn.decoder.suggested_status(),
                                          "malformed request: " +
@@ -485,15 +479,14 @@ class ServerWorker {
 
   /// A handler finished — inline or after parking. Fill the slot and, on
   /// an asynchronous resume, push whatever became drainable to the wire.
-  /// A missing fd or a generation mismatch means the client disconnected
-  /// (and the fd was possibly reused) while the handler ran; the response
-  /// is dropped.
-  void resolve_slot(int fd, std::uint64_t generation, std::uint64_t slot_id,
-                    net::HttpResponse response) IDICN_REQUIRES(loop_role_) {
+  /// A missing fd, or a connection with no slot of this id, means the
+  /// client disconnected (and the fd was possibly reused) while the
+  /// handler ran; the response is dropped.
+  void resolve_slot(int fd, std::uint32_t slot_id, net::HttpResponse response)
+      IDICN_REQUIRES(loop_role_) {
     const auto it = connections_.find(fd);
     if (it == connections_.end()) return;
     Connection& conn = *it->second;
-    if (conn.generation != generation) return;
     for (Connection::ResponseSlot& slot : conn.slots) {
       if (slot.id != slot_id) continue;
       if (slot.ready) return;  // respond fires once; tolerate repeats
@@ -514,14 +507,12 @@ class ServerWorker {
       Connection::ResponseSlot slot = std::move(conn.slots.front());
       conn.slots.pop_front();
       if (slot.peer_wants_close) {
+        slot.response.expand_head();  // a prebuilt head gains a field
         slot.response.headers.set("Connection", "close");
         conn.closing = true;
       }
       enqueue_response(conn, std::move(slot.response));
-      if (slot.count_served) {
-        const core::sync::MutexLock lock(stats_mutex_);
-        ++stats_.requests_served;
-      }
+      if (slot.count_served) bump(counters_.requests_served);
     }
   }
 
@@ -554,13 +545,13 @@ class ServerWorker {
       IDICN_REQUIRES(loop_role_) {
     if (response.producer != nullptr) {
       conn.producer_chunked = producer_uses_chunked(response);
-      enqueue_bytes(conn, response.serialize_head());
+      enqueue_chunk(conn, response.head_chunk());
       conn.producer = std::move(response.producer);
       return;
     }
     // Flat and chunked bodies alike go out as shared chunks behind the
     // head; the cached object's chunks are referenced, never copied.
-    enqueue_bytes(conn, response.serialize_head());
+    enqueue_chunk(conn, response.head_chunk());
     for (core::Chunk& chunk : response.take_body_chunks().take()) {
       enqueue_chunk(conn, std::move(chunk));
     }
@@ -674,11 +665,7 @@ class ServerWorker {
         }
       }
     }
-    if (sent_total > 0) {
-      // One stats fold per flush, not one lock round trip per syscall.
-      const core::sync::MutexLock lock(stats_mutex_);
-      stats_.bytes_out += sent_total;
-    }
+    if (sent_total > 0) bump(counters_.bytes_out, sent_total);
     if (dead) {
       close_connection(fd);
       return;
@@ -736,11 +723,11 @@ class ServerWorker {
         const std::uint64_t now = loop_->now_ms();
         if (!conn.decoder.mid_message()) conn.message_start_ms = now;
         conn.last_activity_ms = now;
-        {
-          const core::sync::MutexLock lock(stats_mutex_);
-          stats_.bytes_in += static_cast<std::uint64_t>(n);
-        }
+        bump(counters_.bytes_in, static_cast<std::uint64_t>(n));
         conn.decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+        // A short read drained the socket: epoll is level-triggered, so
+        // bytes that arrive later fire the fd again — no EAGAIN probe.
+        if (static_cast<std::size_t>(n) < sizeof(buffer)) break;
       }
       serve_decoded(conn);
     }
@@ -755,9 +742,11 @@ class ServerWorker {
   net::SimHost* host_;  ///< shared across workers; thread-safe handlers
   const ServerGroup::Options& options_;  ///< owned by the ServerGroup
   ServerGroup* group_;                   ///< owns this worker
-  /// Connection identity counter for parked-handler resume callbacks (fd
-  /// values get reused; generations do not).
-  std::uint64_t next_generation_ IDICN_GUARDED_BY(loop_role_) = 1;
+  /// Response-slot ids, unique across this worker's connections, so a
+  /// parked handler's late respond cannot land on a later connection that
+  /// reuses its fd. Wrapping takes 2^32 requests on one worker; a parked
+  /// handler's own deadlines end it long before.
+  std::uint32_t next_slot_id_ IDICN_GUARDED_BY(loop_role_) = 1;
   /// Created by start() before the thread exists, destroyed by shutdown()
   /// after the join; the pointer itself is never touched concurrently.
   std::unique_ptr<EventLoop> loop_;
@@ -769,8 +758,24 @@ class ServerWorker {
   /// Live connection gauge sampled by the group's drain wait.
   core::sync::RelaxedCounter active_;
 
-  mutable core::sync::Mutex stats_mutex_;
-  ServerGroup::Stats stats_ IDICN_GUARDED_BY(stats_mutex_);
+  /// The worker's share of ServerGroup::Stats. Only the loop thread writes
+  /// them (bump); any thread reads them through stats().
+  struct Counters {
+    core::sync::RelaxedCounter connections_accepted;
+    core::sync::RelaxedCounter connections_closed;
+    core::sync::RelaxedCounter connections_rejected;
+    core::sync::RelaxedCounter requests_served;
+    core::sync::RelaxedCounter bytes_in;
+    core::sync::RelaxedCounter bytes_out;
+    core::sync::RelaxedCounter decode_errors;
+    core::sync::RelaxedCounter timeouts;
+  };
+  /// Single-writer increment: a relaxed load and store, no locked
+  /// read-modify-write and no mutex on the serving path.
+  static void bump(core::sync::RelaxedCounter& counter, std::uint64_t n = 1) {
+    counter = counter.value() + n;
+  }
+  Counters counters_;
 };
 
 ServerGroup::ServerGroup(net::SimHost* host, std::string address)

@@ -140,6 +140,32 @@ TEST(InfiniteCache, NeverEvicts) {
   EXPECT_TRUE(cache->contains(1234));
 }
 
+TEST(InfiniteCache, EraseGivesUnitsBack) {
+  auto cache = make_cache(PolicyKind::Infinite, 0);
+  std::vector<ObjectId> evicted;
+  cache->insert(1, 5, evicted);
+  cache->insert(2, 3, evicted);
+  cache->insert(3, 7, evicted);
+  cache->erase(1);
+  EXPECT_EQ(cache->used_units(), 10u);
+  EXPECT_FALSE(cache->contains(1));
+  // The object swapped into the erased position keeps its own size.
+  cache->erase(3);
+  EXPECT_EQ(cache->used_units(), 3u);
+  cache->erase(2);
+  EXPECT_EQ(cache->used_units(), 0u);
+  EXPECT_EQ(cache->object_count(), 0u);
+
+  cache->insert(1, 5, evicted);
+  cache->erase(1);
+  EXPECT_EQ(cache->used_units(), 0u);
+  cache->erase(1);  // absent: a no-op
+  cache->erase(42);
+  EXPECT_EQ(cache->used_units(), 0u);
+  EXPECT_EQ(cache->object_count(), 0u);
+  EXPECT_TRUE(evicted.empty());
+}
+
 // --- generic invariants across bounded policies ----------------------------
 
 class BoundedPolicy : public ::testing::TestWithParam<PolicyKind> {};

@@ -5,9 +5,13 @@
 //
 // The measured chain is the single-threaded core of what ServerWorker does
 // per keep-alive request: HttpDecoder::feed on the raw bytes →
-// next_request → Proxy::handle_http (cache HIT) → serialize_head +
-// take_body_chunks. Measuring in-process keeps the count exact — no
-// cross-thread noise, no socket buffers — so the bound can be tight.
+// next_request → Proxy::handle_http_async with an inline respond (the
+// cache HIT answers before it returns) → the head chunk and body chunks
+// the writer queues (head_chunk + take_body_chunks). The synchronous
+// handle_http is not measured: it parses the prebuilt head back into a
+// full HeaderMap for in-process callers, which the socket path never
+// does. Measuring in-process keeps the count exact — no cross-thread
+// noise, no socket buffers — so the bound can be tight.
 //
 // History of the measured number (1 KB object, libstdc++ 12, worst/avg):
 //   pre PR 8 fixes:  41 / 39 — header-map vector growth (1→2→4→8 per
@@ -16,6 +20,12 @@
 //                    redundant HeaderMap reset per decoded message.
 //   post PR 8 fixes: 22 / 20 — HeaderMap::reserve(8) + get_view,
 //                    piecewise serialize_fields, reserved serialize_head.
+//   prebuilt heads:   5 /  3 — measured on handle_http_async from here
+//                    on. Each cache entry keeps its serialized HIT head,
+//                    the host is looked up as spelled (no parse_uri or
+//                    parse_host), recency lives in LruCache (no list node
+//                    per touch), and the body chunk vector moves to the
+//                    writer instead of being rebuilt.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,11 +46,11 @@ using namespace idicn;
 using namespace ::idicn::idicn;
 
 // The ratcheted bound: allocations per request on the 1 KB cache-hit chain.
-// Measured worst-case 41 before the PR 8 fixes and 22 after them on
-// libstdc++ 12; the bound leaves slack of 3 for stdlib variance across CI
-// images, not for regressions. Lower it when you lower the count — it
-// must never go back up.
-constexpr std::uint64_t kAllocRatchet = 25;
+// Measured worst-case 41 before the header-map fixes, 22 after them, and 5
+// with prebuilt HIT heads, on libstdc++ 12; the bound leaves slack of 3 for
+// stdlib variance across CI images, not for regressions. Lower it when you
+// lower the count — it must never go back up.
+constexpr std::uint64_t kAllocRatchet = 8;
 
 struct HotPathDeployment {
   net::SimNet net;
@@ -74,8 +84,12 @@ int serve_once(HotPathDeployment& d, net::HttpDecoder& decoder,
   decoder.feed(wire_request);
   auto request = decoder.next_request();
   if (!request.has_value()) return -1;
-  net::HttpResponse response = d.proxy.handle_http(*request, "client");
-  const std::string head = response.serialize_head();
+  net::HttpResponse response;
+  const auto op = d.proxy.handle_http_async(
+      *request, "client", nullptr,
+      [&response](net::HttpResponse settled) { response = std::move(settled); });
+  if (op != nullptr) return -3;  // parked: not the inline HIT chain
+  const core::Chunk head = response.head_chunk();
   auto chunks = response.take_body_chunks();
   if (head.empty() || chunks.empty()) return -2;
   return response.status;

@@ -9,11 +9,13 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/sync.hpp"
+#include "net/http_decoder.hpp"
 #include "net/http_message.hpp"
 #include "net/sim_net.hpp"
 #include "runtime/http_client.hpp"
@@ -123,6 +125,92 @@ TEST(ServerGroup, OverCapacityRejectionCarriesRetryAfter) {
   group.stop();
   EXPECT_EQ(group.stats().connections_rejected, 1u);
   EXPECT_EQ(group.stats().requests_served, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Reading: a short recv ends the read pass (epoll is level-triggered)
+
+/// Write all of `bytes` to a blocking socket.
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Read responses off a blocking socket until `count` have decoded.
+std::vector<net::HttpResponse> read_responses(int fd, std::size_t count) {
+  net::HttpDecoder decoder(net::HttpDecoder::Mode::Response);
+  std::vector<net::HttpResponse> out;
+  char buffer[4096];
+  while (out.size() < count) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+    while (auto response = decoder.next_response()) {
+      out.push_back(std::move(*response));
+    }
+  }
+  return out;
+}
+
+TEST(ServerGroup, PipelinedBatchLargerThanTheReadBufferIsAnsweredInOrder) {
+  // Far more than the worker's 16 KB read buffer in one write: the worker
+  // reads full buffers back to back, stops at the short read, and the
+  // remainder arrives on later readiness events.
+  EchoHost host;
+  ServerGroup group(&host, "echo.test");
+  const std::uint16_t port = group.start();
+  std::mt19937 rng(20240601);
+  std::uniform_int_distribution<int> path_length(1, 300);
+  std::vector<std::string> targets;
+  std::string batch;
+  while (batch.size() < 64 * 1024) {
+    std::string target = "/" + std::to_string(targets.size()) + "-";
+    target.append(static_cast<std::size_t>(path_length(rng)), 'p');
+    batch += "GET " + target + " HTTP/1.1\r\nHost: echo.test\r\n\r\n";
+    targets.push_back(std::move(target));
+  }
+  ScopedFd fd(connect_tcp("127.0.0.1", port, 2000, nullptr));
+  ASSERT_TRUE(fd.valid());
+  ASSERT_TRUE(send_all(fd.get(), batch));
+  const auto responses = read_responses(fd.get(), targets.size());
+  ASSERT_EQ(responses.size(), targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    ASSERT_EQ(responses[i].body, "echo:" + targets[i]) << "response " << i;
+  }
+  group.stop();
+  EXPECT_EQ(group.stats().bytes_in, batch.size());
+  EXPECT_EQ(group.stats().requests_served, targets.size());
+}
+
+TEST(ServerGroup, RequestSplitAcrossTwoWritesIsAnswered) {
+  // The second half is written only once the worker has read the first,
+  // so the two halves always arrive in separate read passes.
+  EchoHost host;
+  ServerGroup group(&host, "echo.test");
+  const std::uint16_t port = group.start();
+  const std::string first = "GET /split HTTP/1.1\r\nHo";
+  const std::string second = "st: echo.test\r\n\r\n";
+  ScopedFd fd(connect_tcp("127.0.0.1", port, 2000, nullptr));
+  ASSERT_TRUE(fd.valid());
+  ASSERT_TRUE(send_all(fd.get(), first));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (group.stats().bytes_in < first.size()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the worker never read the first half";
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(group.stats().requests_served, 0u);
+  ASSERT_TRUE(send_all(fd.get(), second));
+  const auto responses = read_responses(fd.get(), 1);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].body, "echo:/split");
+  group.stop();
+  EXPECT_EQ(group.stats().bytes_in, first.size() + second.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class RawPrimitiveTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
     def test_sync_include_flagged(self):
-        findings = check_file(Path("src/cache/sharded_cache.cpp"),
+        findings = check_file(Path("src/runtime/server_group.cpp"),
                               "#include <condition_variable>\n")
         self.assertEqual(rules_of(findings), ["raw-sync"])
 
