@@ -94,7 +94,9 @@ void BM_MerkleVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleVerify);
 
-// The X-IdICN-Signature header codec: ~49 KB of hex per height-4 signature.
+// The X-IdICN-Signature header codec: 22 022 base64url characters per
+// height-4 signature (16 516 bytes: index, 256 revealed secrets, 256
+// complement hashes, 4 path nodes).
 void BM_MerkleSignatureEncode(benchmark::State& state) {
   crypto::MerkleSigner signer(13, 4);
   const crypto::MerkleSignature signature = signer.sign("benchmark message");

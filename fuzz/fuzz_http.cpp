@@ -7,7 +7,12 @@
 //   * when parse_request accepts a buffer, the decoder must produce the
 //     same first message from the same bytes;
 //   * any message that decodes re-serializes into something the complete
-//     parser accepts (serialize ∘ decode is closed over the grammar).
+//     parser accepts (serialize ∘ decode is closed over the grammar);
+//   * every decoded response's headers go through the metalink metadata
+//     decoder (ContentMetadata::from_headers, which decodes the base64url
+//     Merkle proof); metadata that parses re-encodes to itself and its
+//     verification never crashes, whatever the proof's shape;
+//   * the raw input is also fed to MerkleSignature::decode directly.
 //
 // Build with -DIDICN_BUILD_FUZZERS=ON. Under clang the harness links
 // libFuzzer (-fsanitize=fuzzer) and explores autonomously; under gcc it
@@ -21,12 +26,33 @@
 #include <string>
 #include <string_view>
 
+#include "crypto/lamport.hpp"
+#include "idicn/metalink.hpp"
 #include "net/http_decoder.hpp"
 #include "net/http_message.hpp"
 
+using idicn::idicn::ContentMetadata;
 using idicn::net::HttpDecoder;
 
 namespace {
+
+/// Metadata on hostile headers: from_headers either refuses or yields
+/// metadata that survives apply_to → from_headers unchanged; verifying it
+/// against the body must classify without crashing.
+void check_metadata(const idicn::net::HttpResponse& response) {
+  const auto metadata = ContentMetadata::from_headers(response.headers);
+  if (!metadata) return;
+  idicn::net::HeaderMap rewritten;
+  metadata->apply_to(rewritten);
+  const auto again = ContentMetadata::from_headers(rewritten);
+  assert(again.has_value());
+  assert(again->name == metadata->name);
+  assert(again->digest == metadata->digest);
+  assert(again->mirrors == metadata->mirrors);
+  assert(again->signature.encode() == metadata->signature.encode());
+  (void)again;  // assert-only (NDEBUG builds)
+  (void)idicn::idicn::verify_content(*metadata, response.full_body());
+}
 
 /// Feed the same bytes in one call and one byte at a time; the number of
 /// decoded messages and the error state must agree.
@@ -50,6 +76,7 @@ void check_feed_invariance(std::string_view input, HttpDecoder::Mode mode) {
     }
   } else {
     while (auto response = whole.next_response()) {
+      check_metadata(*response);
       const auto reparsed = idicn::net::parse_response(response->serialize());
       assert(reparsed.has_value());
       assert(reparsed->status == response->status);
@@ -105,6 +132,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   // Complete-message parsers on raw bytes.
   const auto request = idicn::net::parse_request(input);
   (void)idicn::net::parse_response(input);
+
+  // The proof codec on raw bytes: whatever decodes re-encodes to itself.
+  if (const auto signature = idicn::crypto::MerkleSignature::decode(input)) {
+    assert(signature->encode() == input);
+  }
 
   // Incremental decoder, both modes, with fragmentation invariance.
   check_feed_invariance(input, HttpDecoder::Mode::Request);

@@ -1,12 +1,13 @@
 #include "crypto/lamport.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <random>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
+#include "crypto/base64url.hpp"
 #include "crypto/hex.hpp"
 
 namespace idicn::crypto {
@@ -108,69 +109,49 @@ bool lamport_verify(const LamportPublicKey& key, std::string_view message,
 // ---------------------------------------------------------------------------
 
 std::string MerkleSignature::encode() const {
-  std::array<char, 10> index{};
-  const std::size_t index_len = static_cast<std::size_t>(
-      std::to_chars(index.data(), index.data() + index.size(), leaf_index).ptr - index.data());
-  const auto key = bytes_of(ots_public_key.pairs);
-  const auto ots = bytes_of(ots_signature.revealed);
-  const std::size_t path_len = auth_path.empty() ? 0 : auth_path.size() * 65 - 1;
-
-  // "<index>:<key hex>:<signature hex>:<path hex>,<path hex>,..."
-  std::string out(index_len + 1 + 2 * key.size() + 1 + 2 * ots.size() + 1 + path_len, ':');
-  char* at = std::copy_n(index.data(), index_len, out.data()) + 1;
-  const auto put_hex = [&at](std::span<const std::uint8_t> bytes) {
-    hex_encode_into(bytes, {at, 2 * bytes.size()});
-    at += 2 * bytes.size();
-  };
-  put_hex(key);
-  ++at;
-  put_hex(ots);
-  ++at;
-  for (std::size_t i = 0; i < auth_path.size(); ++i) {
-    if (i > 0) *at++ = ',';
-    put_hex(auth_path[i]);
+  // Staged in one stack buffer, then encoded into a string sized up front.
+  std::array<std::uint8_t, kFixedBytes + kMaxHeight * sizeof(Sha256Digest)> wire;
+  // A path past kMaxHeight never verifies; it is cut to fit the buffer.
+  const std::size_t path = std::min(auth_path.size(), kMaxHeight);
+  for (std::size_t i = 0; i < 4; ++i) {
+    wire[i] = static_cast<std::uint8_t>(leaf_index >> (24 - 8 * i));
   }
+  const auto revealed = bytes_of(ots_signature.revealed);
+  const auto others = bytes_of(complement);
+  std::uint8_t* at = std::copy(revealed.begin(), revealed.end(), wire.data() + 4);
+  at = std::copy(others.begin(), others.end(), at);
+  for (std::size_t i = 0; i < path; ++i) {
+    at = std::copy(auth_path[i].begin(), auth_path[i].end(), at);
+  }
+  const std::span<const std::uint8_t> bytes(wire.data(), static_cast<std::size_t>(at - wire.data()));
+  std::string out(base64url_encoded_size(bytes.size()), '\0');
+  base64url_encode_into(bytes, out);
   return out;
 }
 
 std::optional<MerkleSignature> MerkleSignature::decode(std::string_view text) {
+  std::array<std::uint8_t, kFixedBytes + kMaxHeight * sizeof(Sha256Digest)> wire;
+  // The byte count the text's length implies; decoding rejects lengths no
+  // byte count encodes to.
+  const std::size_t size = text.size() * 3 / 4;
+  if (size < kFixedBytes || size > wire.size() ||
+      (size - kFixedBytes) % sizeof(Sha256Digest) != 0 ||
+      !base64url_decode_into(text, {wire.data(), size})) {
+    return std::nullopt;
+  }
   MerkleSignature sig;
-
-  const auto take_field = [&text]() -> std::optional<std::string_view> {
-    const std::size_t pos = text.find(':');
-    if (pos == std::string_view::npos) return std::nullopt;
-    const std::string_view field = text.substr(0, pos);
-    text.remove_prefix(pos + 1);
-    return field;
-  };
-
-  const auto index_field = take_field();
-  if (!index_field || index_field->empty()) return std::nullopt;
-  std::uint32_t index = 0;
-  for (const char c : *index_field) {
-    if (c < '0' || c > '9') return std::nullopt;
-    index = index * 10 + static_cast<std::uint32_t>(c - '0');
-  }
-  sig.leaf_index = index;
-
-  const auto key_field = take_field();
-  if (!key_field || !hex_decode_into(*key_field, bytes_of(sig.ots_public_key.pairs))) {
-    return std::nullopt;
-  }
-  const auto sig_field = take_field();
-  if (!sig_field || !hex_decode_into(*sig_field, bytes_of(sig.ots_signature.revealed))) {
-    return std::nullopt;
-  }
-
-  // Remainder: comma-separated auth path (may be empty for height-0 trees).
-  while (!text.empty()) {
-    const std::size_t pos = text.find(',');
-    const std::string_view item =
-        pos == std::string_view::npos ? text : text.substr(0, pos);
-    text.remove_prefix(pos == std::string_view::npos ? text.size() : pos + 1);
-    Sha256Digest d{};
-    if (!hex_decode_into(item, d)) return std::nullopt;
-    sig.auth_path.push_back(d);
+  for (std::size_t i = 0; i < 4; ++i) sig.leaf_index = (sig.leaf_index << 8) | wire[i];
+  const std::uint8_t* at = wire.data() + 4;
+  const auto revealed = bytes_of(sig.ots_signature.revealed);
+  const auto others = bytes_of(sig.complement);
+  std::memcpy(revealed.data(), at, revealed.size());
+  at += revealed.size();
+  std::memcpy(others.data(), at, others.size());
+  at += others.size();
+  for (; at != wire.data() + size; at += sizeof(Sha256Digest)) {
+    Sha256Digest node;
+    std::memcpy(node.data(), at, node.size());
+    sig.auth_path.push_back(node);
   }
   return sig;
 }
@@ -215,8 +196,11 @@ MerkleSignature MerkleSigner::sign(std::string_view message) {
 
   MerkleSignature sig;
   sig.leaf_index = static_cast<std::uint32_t>(leaf);
-  sig.ots_public_key = keys_[leaf].pub;
   sig.ots_signature = lamport_sign(keys_[leaf].secret, message);
+  const Sha256Digest digest = Sha256::hash(message);
+  for (std::size_t i = 0; i < 256; ++i) {
+    sig.complement[i] = keys_[leaf].pub.pairs[i][digest_bit(digest, i) ? 0 : 1];
+  }
 
   std::size_t index = leaf;
   for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
@@ -229,9 +213,28 @@ MerkleSignature MerkleSigner::sign(std::string_view message) {
 
 bool MerkleSigner::verify(const Sha256Digest& root, std::string_view message,
                           const MerkleSignature& sig) {
-  if (!lamport_verify(sig.ots_public_key, message, sig.ots_signature)) return false;
+  // The path's length is the tree height: an index with bits above it
+  // would name a leaf the path never reaches.
+  const std::size_t height = sig.auth_path.size();
+  if (height > MerkleSignature::kMaxHeight ||
+      (height < MerkleSignature::kMaxHeight && (sig.leaf_index >> height) != 0)) {
+    return false;
+  }
 
-  Sha256Digest node = sig.ots_public_key.fingerprint();
+  // Rebuild the OTS public key pair by pair — H(revealed) at the digest
+  // bit, the complement at the other position — and fingerprint it as
+  // LamportPublicKey::fingerprint() would.
+  const Sha256Digest digest = Sha256::hash(message);
+  Sha256 key;
+  for (std::size_t i = 0; i < 256; ++i) {
+    const std::size_t bit = digest_bit(digest, i) ? 1 : 0;
+    std::array<Sha256Digest, 2> pair;
+    pair[bit] = Sha256::hash(std::span<const std::uint8_t>(sig.ots_signature.revealed[i]));
+    pair[bit ^ 1] = sig.complement[i];
+    key.update(bytes_of(std::as_const(pair)));
+  }
+
+  Sha256Digest node = key.finish();
   std::size_t index = sig.leaf_index;
   for (const Sha256Digest& sibling : sig.auth_path) {
     node = (index & 1) ? hash_pair(sibling, node) : hash_pair(node, sibling);

@@ -13,7 +13,8 @@
 //    aggregates 2^h Lamport OTS public keys under one Merkle root, so a
 //    publisher has a *stable* public key (the root) whose hash is P while
 //    still being able to sign many objects. Each signature carries the OTS
-//    index, the OTS public key, and the Merkle authentication path.
+//    index, the revealed secrets, the unrevealed half of the OTS public
+//    key, and the Merkle authentication path.
 //
 // These are real, verifiable constructions (the pre-history of XMSS), not
 // mock crypto; tests include tamper/forge rejection.
@@ -79,15 +80,30 @@ struct LamportKeyPair {
 // ---------------------------------------------------------------------------
 
 /// A many-time signature: Lamport OTS authenticated under a Merkle root.
+///
+/// The OTS public key does not travel: for each message-digest bit the
+/// verifier hashes the revealed secret, which gives that bit's half of the
+/// key, and `complement` supplies the other half. The rebuilt key's
+/// fingerprint is the Merkle leaf the auth path climbs from, so a wrong
+/// secret, complement, path node or index changes the root.
 struct MerkleSignature {
-  std::uint32_t leaf_index = 0;        ///< which OTS key signed
-  LamportPublicKey ots_public_key;     ///< revealed OTS public key
-  LamportSignature ots_signature;      ///< OTS signature over the message
-  std::vector<Sha256Digest> auth_path; ///< sibling hashes, leaf → root
+  std::uint32_t leaf_index = 0;                ///< which OTS key signed
+  LamportSignature ots_signature;              ///< revealed secret per digest bit
+  std::array<Sha256Digest, 256> complement{};  ///< OTS key hash of each unrevealed secret
+  std::vector<Sha256Digest> auth_path;         ///< sibling hashes, leaf → root
 
-  /// Compact textual encoding (hex fields joined by ':') used in HTTP
-  /// headers by the idICN prototype.
+  /// Bytes before the auth path in the wire form: the leaf index
+  /// (4 bytes, big-endian), the revealed secrets and the complement.
+  static constexpr std::size_t kFixedBytes = 4 + 2 * 256 * sizeof(Sha256Digest);
+  /// Deepest auth path a 32-bit leaf index can address.
+  static constexpr std::size_t kMaxHeight = 32;
+
+  /// Unpadded base64url (RFC 4648 §5) of leaf index ‖ revealed secrets ‖
+  /// complement ‖ auth path: the X-IdICN-Signature header value and the NRS
+  /// registration's `signature` field.
   [[nodiscard]] std::string encode() const;
+  /// Inverse of encode(); nullopt for anything but the canonical encoding
+  /// of a signature with at most kMaxHeight path nodes.
   [[nodiscard]] static std::optional<MerkleSignature> decode(std::string_view text);
 };
 

@@ -33,29 +33,41 @@ void ContentMetadata::apply_to(net::HeaderMap& headers, bool include_proof) cons
   }
 }
 
+bool ContentMetadata::names_same_object(const net::HeaderMap& headers) const {
+  const auto name_value = headers.get_view("X-IdICN-Name");
+  const auto digest_value = headers.get_view("X-IdICN-Digest");
+  if (!name_value || *name_value != name.host() || !digest_value ||
+      !digest_value->starts_with("sha-256=")) {
+    return false;
+  }
+  const auto advertised = digest_from_hex(digest_value->substr(8));
+  return advertised && *advertised == digest;
+}
+
 std::optional<ContentMetadata> ContentMetadata::from_headers(
     const net::HeaderMap& headers) {
   ContentMetadata metadata;
 
-  const auto name_value = headers.get("X-IdICN-Name");
+  const auto name_value = headers.get_view("X-IdICN-Name");
   if (!name_value) return std::nullopt;
   const auto name = SelfCertifyingName::parse_host(*name_value);
   if (!name) return std::nullopt;
   metadata.name = *name;
 
-  const auto digest_value = headers.get("X-IdICN-Digest");
-  if (!digest_value || digest_value->rfind("sha-256=", 0) != 0) return std::nullopt;
-  const auto digest = digest_from_hex(std::string_view(*digest_value).substr(8));
+  const auto digest_value = headers.get_view("X-IdICN-Digest");
+  if (!digest_value || !digest_value->starts_with("sha-256=")) return std::nullopt;
+  const auto digest = digest_from_hex(digest_value->substr(8));
   if (!digest) return std::nullopt;
   metadata.digest = *digest;
 
-  const auto key_value = headers.get("X-IdICN-Publisher");
+  const auto key_value = headers.get_view("X-IdICN-Publisher");
   if (!key_value) return std::nullopt;
   const auto key = digest_from_hex(*key_value);
   if (!key) return std::nullopt;
   metadata.publisher_key = *key;
 
-  const auto signature_value = headers.get("X-IdICN-Signature");
+  // Borrowed, not copied: the value is the ~22 KB base64url proof.
+  const auto signature_value = headers.get_view("X-IdICN-Signature");
   if (!signature_value) return std::nullopt;
   auto signature = crypto::MerkleSignature::decode(*signature_value);
   if (!signature) return std::nullopt;

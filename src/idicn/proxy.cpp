@@ -43,6 +43,15 @@ private:
   std::size_t index_ = 0;  ///< cursor into the transit's chunk list
 };
 
+/// The metadata a response head carries, parsed once and shared by the
+/// fetch's Transit and the cache entry it becomes; null when the head has
+/// none (or a malformed one).
+std::shared_ptr<const ContentMetadata> parse_metadata(const net::HeaderMap& headers) {
+  auto metadata = ContentMetadata::from_headers(headers);
+  if (!metadata) return nullptr;
+  return std::make_shared<const ContentMetadata>(std::move(*metadata));
+}
+
 /// Receives an upstream body chunk by chunk: on a 200 head it builds a
 /// Transit and hands it to `publish` (which makes it visible to
 /// concurrent requests), then appends each chunk under the transit lock
@@ -67,7 +76,7 @@ public:
     transit->content_type =
         head.headers.get("Content-Type").value_or("text/plain");
     transit->etag = head.headers.get("ETag").value_or("");
-    transit->metadata = ContentMetadata::from_headers(head.headers);
+    transit->metadata = parse_metadata(head.headers);
     std::size_t content_length = 0;
     if (head.headers.contains("Content-Length") &&
         net::detail::parse_content_length(head.headers, content_length,
@@ -379,12 +388,20 @@ std::optional<net::HttpResponse> Proxy::serve_stale(CacheShard& shard,
 class Proxy::FetchOp final : public net::AsyncOp,
                              public std::enable_shared_from_this<FetchOp> {
 public:
-  FetchOp(Proxy* proxy, net::HttpRequest request, net::Executor* exec,
-          std::function<void(net::HttpResponse)> respond)
+  /// `route` is the GET's target as Proxy::route_of canonicalized it
+  /// (nullopt for other methods, or a GET that names no host).
+  FetchOp(Proxy* proxy, net::HttpRequest request, std::optional<Route> route,
+          net::Executor* exec, std::function<void(net::HttpResponse)> respond)
       : proxy_(proxy),
         request_(std::move(request)),
         exec_(exec),
-        respond_(std::move(respond)) {}
+        respond_(std::move(respond)),
+        routed_(route.has_value()) {
+    if (route) {
+      host_ = std::move(route->host);
+      name_ = std::move(route->name);
+    }
+  }
 
   /// Route the request and run until the next park point (or settle
   /// inline). Call exactly once.
@@ -398,21 +415,14 @@ public:
       settle(net::make_response(400, "proxy supports GET only"));
       return;
     }
-    const auto uri = net::parse_uri(request_.target);
-    if (uri && !uri->host.empty()) {
-      host_ = uri->host;  // absolute-form proxy request
-    } else if (const auto host_header = request_.headers.get("Host")) {
-      host_ = *host_header;  // transparent / origin-form fallback
-    } else {
+    if (!routed_) {
       settle(net::make_response(400, "cannot determine host"));
       return;
     }
-    name_ = SelfCertifyingName::parse_host(host_);
     if (!name_) {
       legacy_forward();
       return;
     }
-    host_ = name_->host();
     apply_range_ = !request_.headers.contains(kIcpQueryHeader);
     begin_idicn();
   }
@@ -619,7 +629,7 @@ private:
     entry.etag = answer.headers.get("ETag").value_or("");
     entry.fetched_from = peer;
     entry.stored_at_ms = proxy_->net_->now_ms();
-    entry.metadata = ContentMetadata::from_headers(answer.headers);
+    entry.metadata = parse_metadata(answer.headers);
     if (proxy_->options_.verify) {
       // Peers are not more trusted than any other source.
       if (!entry.metadata || entry.metadata->name != *name_ ||
@@ -925,6 +935,8 @@ private:
       retire(/*failed=*/true);
       return std::nullopt;
     }
+    const std::shared_ptr<detail::Transit>& transit = sink.transit();
+    if (transit == nullptr) return std::nullopt;  // head refused: no body came
     if (hops == 0) {
       // Sibling transfers stay inside the cache tier — only true upstream
       // (origin/mirror) fetches count toward origin byte load.
@@ -940,10 +952,13 @@ private:
     entry.etag = head.headers.get("ETag").value_or("");
     entry.fetched_from = source;  // where a revalidation should go back to
     entry.stored_at_ms = proxy_->net_->now_ms();
-    entry.metadata = ContentMetadata::from_headers(head.headers);
+    // Parsed once, when the head reached the sink. The final head must
+    // still name the same object and digest that metadata describes.
+    entry.metadata = transit->metadata;
 
     if (proxy_->options_.verify) {
       if (!entry.metadata || entry.metadata->name != *name_ ||
+          !entry.metadata->names_same_object(head.headers) ||
           verify_content(*entry.metadata, sink.digest()) != VerifyResult::Ok) {
         ++proxy_->stats_.verification_failures;
         retire(/*failed=*/true);
@@ -953,7 +968,7 @@ private:
     // The entry shares the transit's chunks — admission costs reference
     // bumps, not a body copy, and joiners keep streaming from the same
     // bytes the cache now holds.
-    if (const auto& transit = sink.transit()) {
+    {
       const core::sync::MutexLock lock(transit->mutex);
       entry.body = transit->chunks;
     }
@@ -986,7 +1001,8 @@ private:
   net::Executor* exec_;  ///< null ⇒ every transport hop completes inline
   std::function<void(net::HttpResponse)> respond_;
 
-  std::string host_;
+  bool routed_ = false;  ///< a GET whose target names a host
+  std::string host_;     ///< canonical for an idICN name, as spelled otherwise
   std::optional<SelfCertifyingName> name_;
   bool apply_range_ = false;
   bool peer_query_ = false;
@@ -1065,44 +1081,52 @@ IDICN_HOT_PATH std::optional<net::HttpResponse> Proxy::serve_fresh_hit(
   return response;
 }
 
-std::optional<net::HttpResponse> Proxy::serve_if_fresh_hit(
-    const net::HttpRequest& request) {
-  if (request.method != "GET") return std::nullopt;
-  // 206/416 rewrite the head: FetchOp::settle applies the range to a
-  // general-path response.
-  if (request.headers.contains("Range")) return std::nullopt;
-  const bool full_metadata = request.headers.contains(kIcpQueryHeader) ||
-                             request.headers.contains(kWantMetadataHeader);
-  const auto spelled = spelled_host(request);
-  if (spelled) {
-    if (auto hit = serve_fresh_hit(*spelled, full_metadata)) return hit;
-  }
-  // Canonicalize the way FetchOp::dispatch does, then look up again.
-  std::string host;
+std::optional<Proxy::Route> Proxy::route_of(const net::HttpRequest& request) {
+  Route route;
   const auto uri = net::parse_uri(request.target);
   if (uri && !uri->host.empty()) {
-    host = uri->host;
+    route.host = uri->host;  // absolute-form proxy request
   } else if (const auto host_header = request.headers.get_view("Host")) {
-    host = *host_header;
+    route.host = *host_header;  // transparent / origin-form fallback
   } else {
-    return std::nullopt;  // 400 — the machine words the error
+    return std::nullopt;
   }
-  const auto name = SelfCertifyingName::parse_host(host);
-  if (!name) return std::nullopt;  // legacy forward
-  host = name->host();
-  if (spelled && host == *spelled) return std::nullopt;  // already looked up
-  return serve_fresh_hit(host, full_metadata);
+  route.name = SelfCertifyingName::parse_host(route.host);
+  if (route.name) route.host = route.name->host();
+  return route;
 }
 
 std::shared_ptr<net::AsyncOp> Proxy::handle_http_async(
     const net::HttpRequest& request, const net::Address& /*from*/,
     net::Executor* exec, std::function<void(net::HttpResponse)> respond) {
-  if (auto hit = serve_if_fresh_hit(request)) {
-    respond(std::move(*hit));
-    return nullptr;
+  std::optional<Route> route;
+  if (request.method == "GET") {
+    // Step 7 without the machine: a fresh HIT is looked up as the request
+    // spells its host, and parse_uri/parse_host run only when that
+    // misses. A Range request rewrites the head (206/416), so it is left
+    // to FetchOp::settle.
+    const bool hit_eligible = !request.headers.contains("Range");
+    const bool full_metadata = request.headers.contains(kIcpQueryHeader) ||
+                               request.headers.contains(kWantMetadataHeader);
+    const auto spelled = hit_eligible ? spelled_host(request) : std::nullopt;
+    if (spelled) {
+      if (auto hit = serve_fresh_hit(*spelled, full_metadata)) {
+        respond(std::move(*hit));
+        return nullptr;
+      }
+    }
+    // Canonicalized once: a MISS hands this to the machine, which does not
+    // parse the target again.
+    route = route_of(request);
+    if (hit_eligible && route && route->name && (!spelled || *spelled != route->host)) {
+      if (auto hit = serve_fresh_hit(route->host, full_metadata)) {
+        respond(std::move(*hit));
+        return nullptr;
+      }
+    }
   }
-  auto op =
-      std::make_shared<FetchOp>(this, request, exec, std::move(respond));
+  auto op = std::make_shared<FetchOp>(this, request, std::move(route), exec,
+                                      std::move(respond));
   op->dispatch();
   return op->settled() ? nullptr : op;
 }

@@ -41,7 +41,7 @@
 // simulator's LRU), and holds the entries in a vector indexed by id,
 // behind its own Mutex. An entry keeps its serialized 200 HIT head, one
 // per metadata variant, so a fresh HIT is a lookup plus a reference to
-// that head and the body chunks (serve_if_fresh_hit). Shard locks are
+// that head and the body chunks (serve_fresh_hit). Shard locks are
 // never held across network I/O or a client respond — a stale hit
 // snapshots its validators, revalidates unlocked, then re-locks to renew.
 // Counters: Stats is relaxed-atomic (live sampling from anywhere),
@@ -98,7 +98,10 @@ struct Transit {
 
   std::string content_type;
   std::string etag;
-  std::optional<ContentMetadata> metadata;     ///< unverified until complete
+  /// Parsed once, from the head, and shared with the cache entry the
+  /// completed fetch admits. Unverified until complete; null when the head
+  /// carried none.
+  std::shared_ptr<const ContentMetadata> metadata;
   std::optional<std::uint64_t> expected_size;  ///< from Content-Length
 };
 
@@ -257,7 +260,9 @@ private:
     /// one copy of the bytes.
     core::ChunkedBody body;
     std::string content_type;
-    std::optional<ContentMetadata> metadata;
+    /// Verified (unless Options::verify is off); the same object the
+    /// fetch's Transit parsed from the upstream head.
+    std::shared_ptr<const ContentMetadata> metadata;
     std::string etag;          ///< validator for conditional refreshes
     net::Address fetched_from; ///< where a revalidation should go
     std::uint64_t stored_at_ms = 0;
@@ -337,14 +342,20 @@ private:
                                 const Entry& entry, bool hit,
                                 bool full_metadata)
       IDICN_REQUIRES(shard.mutex);
-  /// Step 7 for both entry points: a fresh cached copy, no Range header,
-  /// answered with the entry's prebuilt HIT head and its body chunks — no
-  /// header building and no FetchOp. The host is looked up as the request
-  /// spells it; parse_uri/parse_host run only when that misses. nullopt
-  /// falls through to the machine (misses, stale, ranges, joins, legacy).
-  std::optional<net::HttpResponse> serve_if_fresh_hit(
-      const net::HttpRequest& request);
-  /// serve_if_fresh_hit for one spelling of the host.
+  /// Where a GET is headed: the host (canonical for an idICN name, as
+  /// spelled for a legacy one) and the parsed name, if it is one.
+  struct Route {
+    std::string host;
+    std::optional<SelfCertifyingName> name;
+  };
+  /// Canonicalize a GET's target once per request — the authority of an
+  /// absolute-form target, else the Host header — for both the fresh-HIT
+  /// lookup and the machine. nullopt when the request names no host.
+  [[nodiscard]] static std::optional<Route> route_of(const net::HttpRequest& request);
+  /// Step 7 for both entry points: a fresh cached copy of `host`, answered
+  /// with the entry's prebuilt HIT head and its body chunks — no header
+  /// building and no FetchOp. nullopt falls through to the machine
+  /// (misses, stale entries).
   std::optional<net::HttpResponse> serve_fresh_hit(std::string_view host,
                                                    bool full_metadata);
   /// Join a request to an in-flight fetch: a producer-backed response that

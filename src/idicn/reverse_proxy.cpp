@@ -30,6 +30,11 @@ private:
   core::ChunkedBody body_;
 };
 
+/// The ETag of a signed entry: its quoted hex digest.
+std::string etag_of(const crypto::Sha256Digest& digest) {
+  return "\"" + crypto::hex_encode(std::span<const std::uint8_t>(digest)) + "\"";
+}
+
 }  // namespace
 
 ReverseProxy::ReverseProxy(net::Transport* net, net::Address self, net::Address origin,
@@ -42,25 +47,34 @@ ReverseProxy::ReverseProxy(net::Transport* net, net::Address self, net::Address 
       origin_fetcher_(net),
       signer_(signer) {}
 
-ReverseProxy::Entry& ReverseProxy::admit(const std::string& label,
-                                         core::ChunkedBody body,
-                                         std::string content_type) {
-  Entry entry;
-  entry.body = std::move(body);
-  entry.content_type = std::move(content_type);
-  entry.metadata.name = SelfCertifyingName(label, publisher_id_);
+SelfCertifyingName ReverseProxy::admit(const std::string& label, core::ChunkedBody body,
+                                       std::string_view content_type) {
+  ContentMetadata metadata;
+  metadata.name = SelfCertifyingName(label, publisher_id_);
   crypto::Sha256 hasher;
-  for (const core::Chunk& chunk : entry.body.chunks()) hasher.update(chunk.view());
-  entry.metadata.digest = hasher.finish();
-  entry.metadata.publisher_key = signer_->root();
-  entry.metadata.signature = signer_->sign(entry.metadata.signing_input());
-  entry.metadata.mirrors = {self_};
+  for (const core::Chunk& chunk : body.chunks()) hasher.update(chunk.view());
+  metadata.digest = hasher.finish();
+  metadata.publisher_key = signer_->root();
+  metadata.signature = signer_->sign(metadata.signing_input());
+  metadata.mirrors = {self_};
   // Advertised replicas ride in the metalink metadata so downstream
   // proxies can hedge/range-split across them (DESIGN.md §13).
   for (const net::Address& mirror : mirrors_) {
-    entry.metadata.mirrors.push_back(mirror);
+    metadata.mirrors.push_back(mirror);
   }
-  return entries_[label] = std::move(entry);
+
+  // Step 6's answer, serialized once: the content plus its verification
+  // metadata. The ETag is the content digest, enabling cheap conditional
+  // revalidation by downstream caches.
+  net::HttpResponse response = net::make_stream_response(200, body, content_type);
+  metadata.apply_to(response.headers);
+  response.headers.set("ETag", etag_of(metadata.digest));
+
+  Entry& entry = entries_[label];
+  entry.body = std::move(body);
+  entry.head = core::Chunk::from_string(response.serialize_head());
+  entry.digest = metadata.digest;
+  return std::move(metadata.name);
 }
 
 std::optional<SelfCertifyingName> ReverseProxy::publish(const std::string& label) {
@@ -88,10 +102,8 @@ std::optional<SelfCertifyingName> ReverseProxy::publish(const std::string& label
     // Re-check: a concurrent publish/admission may have spent the budget
     // while the fetch was in flight.
     if (signer_->remaining() < 2) return std::nullopt;
-    const Entry& entry =
-        admit(label, from_origin.take_body_chunks(),
-              from_origin.headers.get("Content-Type").value_or("text/plain"));
-    name = entry.metadata.name;
+    name = admit(label, from_origin.take_body_chunks(),
+                 from_origin.headers.get_view("Content-Type").value_or("text/plain"));
     // Step P2 signature: the NRS checks nothing but cryptographic
     // correctness.
     registration = signer_->sign(
@@ -113,28 +125,22 @@ std::optional<SelfCertifyingName> ReverseProxy::publish(const std::string& label
 
 net::HttpResponse ReverseProxy::respond(const Entry& entry,
                                         const net::HttpRequest& request) const {
-  // Step 6: respond with the content plus verification metadata. The ETag
-  // is the content digest, enabling cheap conditional revalidation by
-  // downstream caches.
-  const std::string etag =
-      "\"" + crypto::hex_encode(std::span<const std::uint8_t>(entry.metadata.digest)) +
-      "\"";
-  if (const auto condition = request.headers.get("If-None-Match");
-      condition && *condition == etag) {
-    net::HttpResponse not_modified = net::make_response(304, "");
-    not_modified.headers.set("ETag", etag);
-    return not_modified;
+  if (const auto condition = request.headers.get_view("If-None-Match")) {
+    std::string etag = etag_of(entry.digest);
+    if (*condition == etag) {
+      net::HttpResponse not_modified = net::make_response(304, "");
+      not_modified.headers.set("ETag", std::move(etag));
+      return not_modified;
+    }
   }
-  net::HttpResponse response =
-      net::make_stream_response(200, entry.body, entry.content_type);
-  entry.metadata.apply_to(response.headers);
-  response.headers.set("ETag", etag);
-  // RFC 7233 ranged reads, applied after the metadata headers so a 206
-  // still carries the verification material. This is what lets a
-  // multi-source fetcher split one object across replicas: the probe's
-  // 206 exposes the total size via Content-Range, and an empty object's
-  // 416 carries "bytes */0". Pre-range clients are unaffected (no Range
-  // header ⇒ plain 200).
+  net::HttpResponse response;
+  response.head = entry.head;
+  response.stream_body = entry.body;
+  // RFC 7233 ranged reads rewrite the signed head, so a 206 still carries
+  // the verification material. This is what lets a multi-source fetcher
+  // split one object across replicas: the probe's 206 exposes the total
+  // size via Content-Range, and an empty object's 416 carries "bytes */0".
+  // Pre-range clients are unaffected (no Range header ⇒ plain 200).
   if (const auto range = request.headers.get_view("Range")) {
     net::apply_byte_range(*range, response);
   }
@@ -155,7 +161,7 @@ net::HttpResponse ReverseProxy::finish_admission(const SelfCertifyingName& name,
       return net::make_response(503, "publisher signing key exhausted");
     }
     admit(name.label(), from_origin.take_body_chunks(),
-          from_origin.headers.get("Content-Type").value_or("text/plain"));
+          from_origin.headers.get_view("Content-Type").value_or("text/plain"));
     it = entries_.find(name.label());
   }
   // (A sibling admitted it while we fetched: serve theirs, drop our copy.)
@@ -208,6 +214,9 @@ net::HttpResponse ReverseProxy::handle_http(const net::HttpRequest& request,
                     [&response](net::HttpResponse settled) {
                       response = std::move(settled);
                     });
+  // In-process callers read every header field, so the prebuilt signed
+  // head is parsed back into the header map here, off the socket path.
+  response.expand_head();
   return response;
 }
 
@@ -218,7 +227,7 @@ std::shared_ptr<net::AsyncOp> ReverseProxy::handle_http_async(
     deliver(net::make_response(404, "no such endpoint"));
     return nullptr;
   }
-  const auto host = request.headers.get("Host");
+  const auto host = request.headers.get_view("Host");
   if (!host) {
     deliver(net::make_response(400, "missing Host"));
     return nullptr;

@@ -103,14 +103,20 @@ private:
     /// request), and a body that arrived from the origin in pieces is
     /// signed and stored without reassembly.
     core::ChunkedBody body;
-    std::string content_type;
-    ContentMetadata metadata;
+    /// The signed 200 head (type, length, metadata with the proof, ETag),
+    /// serialized once at admission and shared by every response — the
+    /// entry keeps no decoded copy of the signature.
+    core::Chunk head;
+    crypto::Sha256Digest digest{};  ///< SHA-256 of `body`; the ETag's value
   };
 
-  /// Sign and remember metadata for (label, body); returns the entry.
-  Entry& admit(const std::string& label, core::ChunkedBody body,
-               std::string content_type) IDICN_REQUIRES(mutex_);
-  /// Build the 200 (or conditional 304) answer for a signed entry.
+  /// Sign (label, body), build its signed head and remember both; returns
+  /// the name the entry is published under.
+  SelfCertifyingName admit(const std::string& label, core::ChunkedBody body,
+                           std::string_view content_type) IDICN_REQUIRES(mutex_);
+  /// Build the 200 (or conditional 304) answer for a signed entry: the
+  /// prebuilt head plus the body chunks; a Range request expands the head
+  /// and rewrites it into a 206/416.
   [[nodiscard]] net::HttpResponse respond(const Entry& entry,
                                           const net::HttpRequest& request) const
       IDICN_REQUIRES(mutex_);

@@ -568,9 +568,12 @@ struct TailRun {
 };
 
 /// One cold-MISS sweep over `objects` distinct names replicated on rp.pub
-/// and rp2.pub, with rp.pub's latency degrading abruptly mid-sweep: the
-/// first sends are healthy (seeding honest RTT estimates that keep rp.pub
-/// ranked primary), then every send to it stalls 800 ms.
+/// and rp2.pub, with one replica's latency degrading abruptly mid-sweep:
+/// the first fetches are healthy (seeding honest RTT estimates), then every
+/// send to the replica the fetcher ranks primary at that point stalls
+/// 800 ms. Which replica that is depends on the RTTs the warm-up measured
+/// (a slow build can rank rp2.pub first); stalling the primary makes the
+/// very next fetch dial into the stall either way.
 void run_latency_ramp_sweep(bool hedging, int objects, TailRun* out) {
   Proxy::Options popt = ChaosDeployment::proxy_options(/*freshness_ms=*/60'000,
                                                        /*shards=*/2);
@@ -589,21 +592,37 @@ void run_latency_ramp_sweep(bool hedging, int objects, TailRun* out) {
                                              std::string(512, 'x')));
   }
 
-  // Degradation schedule on the proxy→rp.pub hop: sends 0–5 untouched,
-  // then a hard 800 ms stall on every send (no recovery within the sweep).
-  net::FaultInjector::Degradation stall;
-  stall.to = "rp.pub";
-  stall.ramp_start = 6;
-  stall.ramp_sends = 1;  // step, not a slope: the worst-case straggler
-  stall.start_latency_ms = 800;
-  stall.peak_latency_ms = 800;
-  d.faulty.add_degradation(stall);
-
+  constexpr std::size_t kHealthyFetches = 6;
   runtime::HttpClient browser("127.0.0.1", d.proxy_server->port());
   std::string error;
   std::vector<std::uint64_t> latencies_ms;
   latencies_ms.reserve(names.size());
-  for (const auto& name : names) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto& name = names[i];
+    if (i == kHealthyFetches) {
+      // Every warm-up attempt has reported back (a hedge's loser may land
+      // after its winner answered), so the ranking is settled.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      const auto quiet = [&] {
+        for (const auto& source : d.proxy.fetcher().snapshot()) {
+          if (source.in_flight != 0) return false;
+        }
+        return true;
+      };
+      while (!quiet() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      // Degradation schedule on the proxy→primary hop: a hard 800 ms stall
+      // on every send from here on (no recovery within the sweep). The
+      // candidates go in the NRS's order, which breaks ranking ties.
+      net::FaultInjector::Degradation stall;
+      stall.to = d.proxy.fetcher().rank({"rp.pub", "rp2.pub"}).front();
+      stall.ramp_start = 0;
+      stall.ramp_sends = 1;  // step, not a slope: the worst-case straggler
+      stall.start_latency_ms = 800;
+      stall.peak_latency_ms = 800;
+      d.faulty.add_degradation(stall);
+    }
     const auto start = std::chrono::steady_clock::now();
     const auto response = browser.get(url_of(name), &error);
     const auto took = static_cast<std::uint64_t>(

@@ -1,6 +1,6 @@
 // Crypto substrate tests: SHA-256 against FIPS vectors (both compression
-// paths, differentially against the portable oracle), hex/base32 codecs incl.
-// strict rejection, HMAC against RFC 4231, Lamport and Merkle signatures
+// paths, differentially against the portable oracle), hex/base32/base64url
+// codecs incl. strict rejection, HMAC against RFC 4231, Lamport and Merkle signatures
 // incl. forgery and tamper rejection.
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <random>
 
 #include "crypto/base32.hpp"
+#include "crypto/base64url.hpp"
 #include "crypto/hex.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/lamport.hpp"
@@ -315,6 +316,72 @@ TEST(Base32, DecodeAcceptsUppercase) {
   EXPECT_EQ(std::string(decoded->begin(), decoded->end()), "foobar");
 }
 
+// --- base64url (RFC 4648 §5, unpadded) ---------------------------------------
+
+std::span<const std::uint8_t> bytes_of_text(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+std::string base64url_of(std::span<const std::uint8_t> data) {
+  std::string out(base64url_encoded_size(data.size()), '\0');
+  EXPECT_TRUE(base64url_encode_into(data, out));
+  return out;
+}
+
+TEST(Base64url, Rfc4648VectorsUnpadded) {
+  const std::pair<std::string_view, std::string_view> vectors[] = {
+      {"", ""},         {"f", "Zg"},          {"fo", "Zm8"},         {"foo", "Zm9v"},
+      {"foob", "Zm9vYg"}, {"fooba", "Zm9vYmE"}, {"foobar", "Zm9vYmFy"}};
+  for (const auto& [plain, encoded] : vectors) {
+    EXPECT_EQ(base64url_of(bytes_of_text(plain)), encoded);
+    std::vector<std::uint8_t> decoded(plain.size());
+    ASSERT_TRUE(base64url_decode_into(encoded, decoded)) << encoded;
+    EXPECT_EQ(std::string(decoded.begin(), decoded.end()), plain);
+  }
+}
+
+TEST(Base64url, UsesTheUrlSafeAlphabet) {
+  // Standard base64 spells these "+/8=": base64url swaps in '-' and '_'
+  // and drops the padding.
+  const std::array<std::uint8_t, 2> bytes = {0xfb, 0xff};
+  EXPECT_EQ(base64url_of(bytes), "-_8");
+  std::array<std::uint8_t, 2> decoded{};
+  ASSERT_TRUE(base64url_decode_into("-_8", decoded));
+  EXPECT_EQ(decoded, bytes);
+  EXPECT_FALSE(base64url_decode_into("+/8", decoded));
+}
+
+TEST(Base64url, RoundTripsEveryLengthAndByte) {
+  std::mt19937 rng(41);
+  for (std::size_t size = 0; size < 70; ++size) {
+    std::vector<std::uint8_t> data(size);
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng());
+    const std::string text = base64url_of(data);
+    EXPECT_EQ(text.size(), base64url_encoded_size(size));
+    std::vector<std::uint8_t> decoded(size);
+    ASSERT_TRUE(base64url_decode_into(text, decoded)) << size;
+    EXPECT_EQ(decoded, data);
+  }
+}
+
+TEST(Base64url, DecodeRejectsNonCanonicalInput) {
+  std::array<std::uint8_t, 1> one{};
+  std::array<std::uint8_t, 3> three{};
+  EXPECT_FALSE(base64url_decode_into("Zh", one));     // spare bits set ("Zg" is canonical)
+  EXPECT_FALSE(base64url_decode_into("Zg==", one));   // padding
+  EXPECT_FALSE(base64url_decode_into("Zm9", one));    // length of a different size
+  EXPECT_FALSE(base64url_decode_into("Zm9v", std::span<std::uint8_t>(three).first(2)));
+  ASSERT_TRUE(base64url_decode_into("Zm9v", three));
+  for (const char bad : {'=', '+', '/', '.', ' ', ':', '\0', '\xff'}) {
+    for (std::size_t at = 0; at < 4; ++at) {
+      std::string text = "Zm9v";
+      text[at] = bad;
+      EXPECT_FALSE(base64url_decode_into(text, three))
+          << "char " << static_cast<int>(bad) << " at " << at;
+    }
+  }
+}
+
 // --- HMAC-SHA256 (RFC 4231) ----------------------------------------------
 
 TEST(Hmac, Rfc4231Case1) {
@@ -449,6 +516,27 @@ TEST(Merkle, RejectsLeafIndexSubstitution) {
   EXPECT_FALSE(MerkleSigner::verify(signer.root(), "msg", sig));
 }
 
+TEST(Merkle, RejectsLeafIndexBeyondTheTree) {
+  // An index bit above the path's height names no leaf the path reaches;
+  // accepting it would make the index malleable.
+  MerkleSigner signer(22, 3);
+  MerkleSignature sig = signer.sign("msg");
+  ASSERT_TRUE(MerkleSigner::verify(signer.root(), "msg", sig));
+  sig.leaf_index |= 1u << 3;
+  EXPECT_FALSE(MerkleSigner::verify(signer.root(), "msg", sig));
+  sig.leaf_index = (sig.leaf_index & 7u) | (1u << 31);
+  EXPECT_FALSE(MerkleSigner::verify(signer.root(), "msg", sig));
+}
+
+TEST(Merkle, RejectsSwappedRevealedAndComplementHalves) {
+  // Each position's revealed secret hashes into the half the digest bit
+  // selects; moving a complement hash into the other half changes the key.
+  MerkleSigner signer(23, 2);
+  MerkleSignature sig = signer.sign("msg");
+  std::swap(sig.ots_signature.revealed[0], sig.complement[0]);
+  EXPECT_FALSE(MerkleSigner::verify(signer.root(), "msg", sig));
+}
+
 TEST(Merkle, EncodeDecodeRoundtrip) {
   MerkleSigner signer(18, 3);
   (void)signer.sign("skip leaf 0");
@@ -457,36 +545,41 @@ TEST(Merkle, EncodeDecodeRoundtrip) {
   const auto decoded = MerkleSignature::decode(encoded);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->leaf_index, sig.leaf_index);
-  EXPECT_EQ(decoded->ots_public_key, sig.ots_public_key);
   EXPECT_EQ(decoded->ots_signature.revealed, sig.ots_signature.revealed);
+  EXPECT_EQ(decoded->complement, sig.complement);
   EXPECT_EQ(decoded->auth_path, sig.auth_path);
   EXPECT_EQ(decoded->encode(), encoded);
   EXPECT_TRUE(MerkleSigner::verify(signer.root(), "roundtrip me", *decoded));
 }
 
-TEST(Merkle, EncodeLayoutIsIndexKeySignaturePath) {
+TEST(Merkle, EncodeLayoutIsIndexRevealedComplementPath) {
   MerkleSigner signer(20, 2);
+  (void)signer.sign("skip leaf 0");
   const MerkleSignature sig = signer.sign("layout");
-  const std::string expected =
-      std::to_string(sig.leaf_index) + ":" + hex_encode(sig.ots_public_key.serialize()) + ":" +
-      hex_encode(sig.ots_signature.serialize()) + ":" +
-      hex_encode(std::span<const std::uint8_t>(sig.auth_path[0])) + "," +
-      hex_encode(std::span<const std::uint8_t>(sig.auth_path[1]));
-  EXPECT_EQ(sig.encode(), expected);
+  std::vector<std::uint8_t> wire = {0, 0, 0, static_cast<std::uint8_t>(sig.leaf_index)};
+  const std::vector<std::uint8_t> revealed = sig.ots_signature.serialize();
+  wire.insert(wire.end(), revealed.begin(), revealed.end());
+  for (const Sha256Digest& hash : sig.complement) wire.insert(wire.end(), hash.begin(), hash.end());
+  for (const Sha256Digest& node : sig.auth_path) wire.insert(wire.end(), node.begin(), node.end());
+  ASSERT_EQ(wire.size(), MerkleSignature::kFixedBytes + 2 * 32);
+  EXPECT_EQ(sig.encode(), base64url_of(wire));
 }
 
-TEST(Merkle, DecodeRejectsOneNonHexCharacterInAnyField) {
+TEST(Merkle, Height9SignatureEncodesTo22235Characters) {
+  // 4 + 256·32 + 256·32 + 9·32 = 16 676 bytes → ⌈16 676·4/3⌉ characters.
+  MerkleSignature sig;
+  sig.auth_path.resize(9);
+  EXPECT_EQ(sig.encode().size(), 22235u);
+}
+
+TEST(Merkle, DecodeRejectsOneNonAlphabetCharacterAnywhere) {
   MerkleSigner signer(21, 3);
   const std::string encoded = signer.sign("strict").encode();
-  const std::size_t key_start = encoded.find(':') + 1;
-  const std::size_t sig_start = encoded.find(':', key_start) + 1;
-  const std::size_t path_start = encoded.find(':', sig_start) + 1;
-  const std::size_t second_path = encoded.find(',', path_start) + 1;
   ASSERT_TRUE(MerkleSignature::decode(encoded).has_value());
   for (const std::size_t position :
-       {key_start, key_start + 1000, sig_start - 2, sig_start, sig_start + 777, path_start - 2,
-        path_start, second_path + 31, encoded.size() - 1}) {
-    for (const char bad : {'g', 'G', 'x', ' ', '\0', '\xff'}) {
+       {std::size_t{0}, std::size_t{5}, std::size_t{1000}, std::size_t{10'929},
+        std::size_t{21'000}, encoded.size() - 2, encoded.size() - 1}) {
+    for (const char bad : {'=', '+', '/', ':', ',', ' ', '\0', '\xff'}) {
       std::string corrupt = encoded;
       corrupt[position] = bad;
       EXPECT_FALSE(MerkleSignature::decode(corrupt).has_value())
@@ -495,13 +588,34 @@ TEST(Merkle, DecodeRejectsOneNonHexCharacterInAnyField) {
   }
 }
 
+TEST(Merkle, DecodeRejectsWrongLengths) {
+  MerkleSigner signer(24, 3);
+  const MerkleSignature sig = signer.sign("length");
+  const std::string encoded = sig.encode();
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{10}, encoded.size() / 2,
+                                 encoded.size() - 2, encoded.size() - 1}) {
+    EXPECT_FALSE(MerkleSignature::decode(encoded.substr(0, keep)).has_value()) << keep;
+  }
+  // Well-formed base64url of byte counts no signature has: a path that is
+  // not whole digests, and one deeper than a 32-bit index can address.
+  for (const std::size_t bytes :
+       {MerkleSignature::kFixedBytes - 1, MerkleSignature::kFixedBytes + 16,
+        MerkleSignature::kFixedBytes + 33 * 32}) {
+    const std::vector<std::uint8_t> zeros(bytes);
+    EXPECT_FALSE(MerkleSignature::decode(base64url_of(zeros)).has_value()) << bytes;
+  }
+  // A height-0 tree's signature (no path) is well-formed.
+  const std::vector<std::uint8_t> no_path(MerkleSignature::kFixedBytes);
+  EXPECT_TRUE(MerkleSignature::decode(base64url_of(no_path)).has_value());
+}
+
 TEST(Merkle, DecodeRejectsGarbage) {
   EXPECT_FALSE(MerkleSignature::decode("").has_value());
   EXPECT_FALSE(MerkleSignature::decode("notasig").has_value());
   EXPECT_FALSE(MerkleSignature::decode("1:abcd:ef01:").has_value());
   MerkleSigner signer(19, 1);
   std::string encoded = signer.sign("x").encode();
-  encoded[0] = 'x';  // corrupt the index field
+  encoded.insert(0, "0:");  // an index field in front, as the hex form had
   EXPECT_FALSE(MerkleSignature::decode(encoded).has_value());
 }
 

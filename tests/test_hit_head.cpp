@@ -11,7 +11,14 @@
 //     right: Range (206 and 416), Connection: close (the header plus a
 //     close), and HTTP/1.0 (answered, then closed). A plain keep-alive HIT
 //     puts the prebuilt head on the wire verbatim.
+//   * Every spelling of a target (absolute- or origin-form, capitals, a
+//     port) reaches the one entry cached under the canonical name.
+//   * The reverse proxy's signed head: serialized once at admission and
+//     shared by every fetch, still rewritten into a 206 that carries a
+//     verifying proof, and — with a height-9 signer — at most 24 KB.
 #include <gtest/gtest.h>
+
+#include <cctype>
 
 #include <sys/socket.h>
 
@@ -65,9 +72,9 @@ net::HttpRequest get(const SelfCertifyingName& name, bool full_metadata) {
 }
 
 /// The socket runtime's view: handle_http_async answering inline.
-net::HttpResponse serve_async(Proxy& proxy, const net::HttpRequest& request) {
+net::HttpResponse serve_async(net::SimHost& host, const net::HttpRequest& request) {
   net::HttpResponse response;
-  const auto op = proxy.handle_http_async(
+  const auto op = host.handle_http_async(
       request, "client", nullptr,
       [&response](net::HttpResponse settled) { response = std::move(settled); });
   EXPECT_EQ(op, nullptr);
@@ -134,6 +141,143 @@ TEST(HitHead, PrebuiltHeadIsByteIdenticalToTheGeneralPath) {
     EXPECT_EQ(head.find(std::string(kPopHeader) + ": ") != std::string::npos,
               !pop.empty());
   }
+}
+
+std::string upper(std::string text) {
+  for (char& c : text) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  return text;
+}
+
+TEST(HitHead, EverySpellingOfATargetReachesTheSameEntry) {
+  Deployment d(Proxy::Options{});
+  const std::string body(700, 'd');
+  const auto name = d.publish("spelled", body);
+
+  // The MISS arrives spelled in capitals: it is cached under the
+  // canonical name the machine was handed.
+  net::HttpRequest shouted;
+  shouted.target = "http://" + upper(name.host()) + "/";
+  const net::HttpResponse miss = d.proxy.handle_http(shouted, "client");
+  ASSERT_EQ(miss.status, 200);
+  EXPECT_EQ(miss.headers.get("X-Cache"), "MISS");
+  EXPECT_TRUE(d.proxy.is_cached(name.host()));
+
+  const auto origin_form = [&](const std::string& host) {
+    net::HttpRequest request;
+    request.target = "/";
+    request.headers.set("Host", host);
+    return request;
+  };
+  const auto absolute_form = [](const std::string& authority) {
+    net::HttpRequest request;
+    request.target = "http://" + authority + "/index.html";
+    return request;
+  };
+  const std::vector<net::HttpRequest> spellings = {
+      get(name, false),
+      shouted,
+      absolute_form(name.host() + ":8080"),
+      origin_form(name.host()),
+      origin_form(upper(name.host())),
+  };
+  for (std::size_t i = 0; i < spellings.size(); ++i) {
+    SCOPED_TRACE("spelling " + std::to_string(i));
+    const net::HttpResponse hit = serve_async(d.proxy, spellings[i]);
+    EXPECT_EQ(hit.headers.get("X-Cache"), "HIT");
+    EXPECT_EQ(hit.full_body(), body);
+  }
+  EXPECT_EQ(d.proxy.stats().misses, 1u);
+  EXPECT_EQ(d.proxy.stats().hits, spellings.size());
+  EXPECT_EQ(d.proxy.cached_objects(), 1u);
+
+  // A Range request skips the fresh-HIT shortcut; the machine is handed
+  // the same canonical route and serves the slice from the same entry.
+  net::HttpRequest ranged = origin_form(upper(name.host()));
+  ranged.headers.set("Range", "bytes=0-9");
+  const net::HttpResponse slice = d.proxy.handle_http(ranged, "client");
+  EXPECT_EQ(slice.status, 206);
+  EXPECT_EQ(slice.full_body(), body.substr(0, 10));
+  EXPECT_EQ(d.proxy.stats().misses, 1u);
+}
+
+// --- the reverse proxy's signed head ------------------------------------------
+
+/// A verifying fetch from the reverse proxy, as a downstream proxy sends it.
+net::HttpRequest fetch_signed(const SelfCertifyingName& name) {
+  net::HttpRequest request;
+  request.target = "/";
+  request.headers.set("Host", name.host());
+  request.headers.set(kWantMetadataHeader, "1");
+  return request;
+}
+
+TEST(ReverseProxyHead, OneSignedHeadChunkServesEveryFetch) {
+  Deployment d(Proxy::Options{});
+  const std::string body(2000, 'c');
+  const auto name = d.publish("shared", body);
+
+  const net::HttpResponse first = serve_async(d.reverse_proxy, fetch_signed(name));
+  const net::HttpResponse second = serve_async(d.reverse_proxy, fetch_signed(name));
+  ASSERT_FALSE(first.head.empty()) << "a fetch must take the head built at admission";
+  EXPECT_EQ(first.head.view().data(), second.head.view().data());
+  EXPECT_EQ(first.head_chunk().view().data(), first.head.view().data());
+  EXPECT_EQ(first.full_body(), body);
+
+  // SimNet callers read the same head parsed back into fields, and its
+  // proof verifies the body.
+  const net::HttpResponse expanded = d.reverse_proxy.handle_http(fetch_signed(name), "c");
+  EXPECT_TRUE(expanded.head.empty());
+  EXPECT_EQ(expanded.serialize_head(), std::string(first.head.view()));
+  const auto metadata = ContentMetadata::from_headers(expanded.headers);
+  ASSERT_TRUE(metadata.has_value());
+  EXPECT_EQ(verify_content(*metadata, expanded.full_body()), VerifyResult::Ok);
+
+  // Conditional revalidation against the ETag still answers 304.
+  net::HttpRequest conditional = fetch_signed(name);
+  conditional.headers.set("If-None-Match", *expanded.headers.get("ETag"));
+  EXPECT_EQ(d.reverse_proxy.handle_http(conditional, "c").status, 304);
+}
+
+TEST(ReverseProxyHead, RangeYieldsA206CarryingAVerifyingProof) {
+  Deployment d(Proxy::Options{});
+  std::string body(5000, ' ');
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<char>('a' + i % 26);
+  const auto name = d.publish("ranged", body);
+
+  net::HttpRequest ranged = fetch_signed(name);
+  ranged.headers.set("Range", "bytes=100-199");
+  const net::HttpResponse slice = d.reverse_proxy.handle_http(ranged, "c");
+  ASSERT_EQ(slice.status, 206);
+  EXPECT_EQ(slice.headers.get("Content-Range"), "bytes 100-199/5000");
+  EXPECT_EQ(slice.full_body(), body.substr(100, 100));
+  const auto metadata = ContentMetadata::from_headers(slice.headers);
+  ASSERT_TRUE(metadata.has_value());
+  EXPECT_EQ(verify_content(*metadata, body), VerifyResult::Ok);
+
+  ranged.headers.set("Range", "bytes=9000-");
+  EXPECT_EQ(d.reverse_proxy.handle_http(ranged, "c").status, 416);
+}
+
+TEST(ReverseProxyHead, Height9SignedHeadFitsIn24KB) {
+  // The size ratchet on the proof: a 200 head from a 512-key publisher
+  // (the benchmark's signer) with its reverse proxy as the one mirror.
+  net::SimNet net;
+  net::DnsService dns;
+  crypto::MerkleSigner signer{9, 9};
+  NameResolutionSystem nrs{&dns};
+  OriginServer origin;
+  ReverseProxy reverse_proxy{&net, "rp.pub", "origin.pub", "nrs", &signer};
+  net.attach("nrs", &nrs);
+  net.attach("origin.pub", &origin);
+  net.attach("rp.pub", &reverse_proxy);
+  origin.put("o1", std::string(1024, 'h'));
+  const auto name = reverse_proxy.publish("o1");
+  ASSERT_TRUE(name.has_value());
+
+  const net::HttpResponse response = serve_async(reverse_proxy, fetch_signed(*name));
+  ASSERT_EQ(response.status, 200);
+  EXPECT_LE(response.head.size(), 24u * 1024) << "the height-9 signed head grew";
+  EXPECT_NE(response.head.view().find("X-IdICN-Signature: "), std::string_view::npos);
 }
 
 // --- over a real ServerGroup -------------------------------------------------

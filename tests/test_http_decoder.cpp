@@ -411,6 +411,41 @@ TEST(HeaderInjection, SanitizeStripsCrLfNul) {
   EXPECT_EQ(sanitize_header_value("\r\n\r\n"), "");
 }
 
+TEST(HeaderInjection, SanitizeStripsEachDirtyByteWherever) {
+  // The clean fast path must not hide a lone CR, LF or NUL at either end
+  // or deep inside a long value.
+  const std::string long_clean(50 * 1024, 'q');
+  for (const char bad : {'\r', '\n', '\0'}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{1}, long_clean.size() / 2,
+                                 long_clean.size() - 1, long_clean.size()}) {
+      std::string dirty = long_clean;
+      dirty.insert(at, 1, bad);
+      EXPECT_EQ(sanitize_header_value(dirty), long_clean)
+          << "byte " << static_cast<int>(bad) << " at " << at;
+    }
+  }
+}
+
+TEST(HeaderInjection, LongCleanValueRoundTripsByteForByte) {
+  // A 50 KB value over the whole base64url alphabet (a proof-sized
+  // header): inserted, serialized and decoded back unchanged.
+  constexpr std::string_view kAlphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
+  std::string value(50 * 1024, ' ');
+  for (std::size_t i = 0; i < value.size(); ++i) value[i] = kAlphabet[(i * 7) % 64];
+  HttpResponse response = make_response(200, "body");
+  response.headers.set("X-IdICN-Signature", value);
+  EXPECT_EQ(response.headers.get_view("X-IdICN-Signature"), value);
+
+  HttpDecoder decoder(HttpDecoder::Mode::Response);
+  decoder.feed(response.serialize());
+  ASSERT_EQ(decoder.ready(), 1u);
+  const auto decoded = decoder.next_response();
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->headers.get_view("X-IdICN-Signature"), value);
+  EXPECT_EQ(decoded->body, "body");
+}
+
 TEST(HeaderInjection, HeaderMapSanitizesOnInsertion) {
   HeaderMap headers;
   headers.add("X-A", "v1\r\nX-Fake: smuggled");

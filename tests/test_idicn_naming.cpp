@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/base32.hpp"
+#include "crypto/hex.hpp"
 #include "idicn/metalink.hpp"
 #include "idicn/name.hpp"
 
@@ -178,6 +179,106 @@ TEST(Metalink, FromHeadersRejectsMissingOrMalformed) {
     headers.set("X-IdICN-Name", "www.legacy.com");
     EXPECT_FALSE(ContentMetadata::from_headers(headers).has_value());
   }
+}
+
+TEST(Metalink, FlippingAnyProofByteIsBadSignature) {
+  // Every byte of the proof is bound: a revealed secret, a complement
+  // hash, an auth-path node or the leaf index, changed after the proof
+  // crossed the wire, fails verification as a bad signature.
+  crypto::MerkleSigner signer(29, 3);
+  (void)signer.sign("skip leaf 0");
+  (void)signer.sign("skip leaf 1");
+  const ContentMetadata metadata = signed_metadata(signer, "obj", "body");
+  net::HeaderMap headers;
+  metadata.apply_to(headers);
+  const auto received = ContentMetadata::from_headers(headers);
+  ASSERT_TRUE(received.has_value());
+  ASSERT_EQ(verify_content(*received, "body"), VerifyResult::Ok);
+
+  const auto expect_rejected = [&](const auto& flip, const std::string& what) {
+    ContentMetadata tampered = *received;
+    flip(tampered.signature);
+    EXPECT_EQ(verify_content(tampered, "body"), VerifyResult::BadSignature) << what;
+  };
+  for (std::size_t i = 0; i < 256; ++i) {
+    expect_rejected([i](crypto::MerkleSignature& sig) {
+      sig.ots_signature.revealed[i][i % 32] ^= 0x01;
+    }, "revealed secret " + std::to_string(i));
+    expect_rejected([i](crypto::MerkleSignature& sig) {
+      sig.complement[i][(i * 7) % 32] ^= 0x80;
+    }, "complement hash " + std::to_string(i));
+  }
+  for (std::size_t node = 0; node < received->signature.auth_path.size(); ++node) {
+    for (std::size_t b = 0; b < 32; ++b) {
+      expect_rejected([node, b](crypto::MerkleSignature& sig) {
+        sig.auth_path[node][b] ^= 0x10;
+      }, "auth-path node " + std::to_string(node) + " byte " + std::to_string(b));
+    }
+  }
+  for (std::size_t b = 0; b < 4; ++b) {
+    expect_rejected([b](crypto::MerkleSignature& sig) {
+      sig.leaf_index ^= 0x01u << (8 * b);
+    }, "leaf index byte " + std::to_string(b));
+  }
+}
+
+TEST(Metalink, FromHeadersRejectsMalformedProofs) {
+  crypto::MerkleSigner signer(30, 3);
+  const ContentMetadata metadata = signed_metadata(signer, "obj", "body");
+  net::HeaderMap signed_headers;
+  metadata.apply_to(signed_headers);
+  const std::string proof(*signed_headers.get_view("X-IdICN-Signature"));
+  const auto with_proof = [&](const std::string& value) {
+    net::HeaderMap headers = signed_headers;
+    headers.set("X-IdICN-Signature", value);
+    return ContentMetadata::from_headers(headers);
+  };
+  ASSERT_TRUE(with_proof(proof).has_value());
+
+  // Truncated.
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{1}, proof.size() / 3,
+                                 proof.size() - 3, proof.size() - 1}) {
+    EXPECT_FALSE(with_proof(proof.substr(0, keep)).has_value()) << keep;
+  }
+  // One character outside the base64url alphabet.
+  for (const char bad : {'=', '+', '/', ':', '.', '\xff'}) {
+    std::string corrupt = proof;
+    corrupt[proof.size() / 2] = bad;
+    EXPECT_FALSE(with_proof(corrupt).has_value()) << static_cast<int>(bad);
+  }
+  // A well-formed encoding of the wrong number of bytes.
+  EXPECT_FALSE(with_proof(proof + "AAAAAAAAAAA").has_value());
+  // The retired hex form: "<index>:<OTS key hex>:<signature hex>:<path>".
+  const auto& sig = metadata.signature;
+  std::string legacy = std::to_string(sig.leaf_index) + ":" +
+                       std::string(2 * 256 * 2 * 32, 'a') + ":" +
+                       crypto::hex_encode(sig.ots_signature.serialize()) + ":";
+  for (std::size_t i = 0; i < sig.auth_path.size(); ++i) {
+    if (i > 0) legacy += ",";
+    legacy += crypto::hex_encode(std::span<const std::uint8_t>(sig.auth_path[i]));
+  }
+  EXPECT_FALSE(with_proof(legacy).has_value());
+}
+
+TEST(Metalink, SameObjectCheckComparesNameAndDigest) {
+  crypto::MerkleSigner signer(31, 2);
+  const ContentMetadata metadata = signed_metadata(signer, "obj", "body");
+  net::HeaderMap headers;
+  metadata.apply_to(headers, /*include_proof=*/false);
+  EXPECT_TRUE(metadata.names_same_object(headers));
+
+  net::HeaderMap other_name = headers;
+  other_name.set("X-IdICN-Name", SelfCertifyingName("other", metadata.name.publisher()).host());
+  EXPECT_FALSE(metadata.names_same_object(other_name));
+
+  net::HeaderMap other_digest = headers;
+  other_digest.set("X-IdICN-Digest",
+                   "sha-256=" + crypto::hex_encode(std::span<const std::uint8_t>(
+                                    crypto::Sha256::hash("other body"))));
+  EXPECT_FALSE(metadata.names_same_object(other_digest));
+
+  net::HeaderMap bare;
+  EXPECT_FALSE(metadata.names_same_object(bare));
 }
 
 TEST(Metalink, NonDuplicateLinksIgnored) {
