@@ -378,16 +378,17 @@ SimulationMetrics Simulator::run(const BoundWorkload& workload) {
 
     // --- response transfer and on-path caching -------------------------
     if (decision.node != leaf_node) {
-      const std::vector<GlobalNodeId> response = network_.path(decision.node, leaf_node);
+      network_.path(decision.node, leaf_node, response_path_);
       if (record) {
-        for (std::size_t i = 0; i + 1 < response.size(); ++i) {
+        for (std::size_t i = 0; i + 1 < response_path_.size(); ++i) {
           const topology::GlobalLinkId link =
-              network_.link_between(response[i], response[i + 1]);
+              network_.link_between(response_path_[i], response_path_[i + 1]);
           ++metrics_.link_transfers[link];
           metrics_.link_bytes[link] += static_cast<double>(request.size);
         }
       }
-      apply_cache_decision(response, request.object, request.size, origin_pop);
+      apply_cache_decision(response_path_, request.object, request.size,
+                           origin_pop);
     }
 
     if (request_observer_) request_observer_(request_index);

@@ -148,6 +148,9 @@ private:
   std::vector<std::uint32_t> served_in_window_;
   std::uint64_t window_cursor_ = 0;
   std::vector<cache::ObjectId> eviction_scratch_;
+  /// The current response path, refilled per request (HierarchicalNetwork::
+  /// path reuses its capacity).
+  std::vector<topology::GlobalNodeId> response_path_;
   std::mt19937_64 decision_rng_{0};  ///< probabilistic cache decision coins
   SimulationMetrics metrics_;
 };

@@ -142,7 +142,10 @@ net::HttpResponse NameResolutionSystem::handle_http(const net::HttpRequest& requ
       body += "location=" + location + "\n";
     }
     if (resolution.resolver) body += "resolver=" + *resolution.resolver + "\n";
-    return net::make_response(200, std::move(body));
+    net::HttpResponse answer = net::make_response(200, std::move(body));
+    answer.headers.set("Cache-Control",
+                       "max-age=" + std::to_string(kResolveMaxAgeS));
+    return answer;
   }
 
   if (request.method == "POST" &&

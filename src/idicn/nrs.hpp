@@ -13,6 +13,12 @@
 //   POST /register-resolver   publisher=…&resolver=…&publisher-key=…&signature=…
 //   GET  /resolve?name=<host> → "location=<addr>" lines | "resolver=<addr>" | 404
 //
+// A 200 /resolve answer carries `Cache-Control: max-age=<kResolveMaxAgeS>`
+// (DNS semantics, §6): a resolver may reuse it for that long. The edge
+// proxy keeps such answers per name and sends one upstream request per
+// MISS — the fetch — while the answer lives. 400/404 answers carry no
+// lifetime and are never reused.
+//
 // Threading: registrations and resolutions may arrive concurrently from
 // any number of runtime::ServerGroup workers — the registry maps are
 // guarded by one internal mutex (resolution volume is tiny next to proxy
@@ -20,6 +26,7 @@
 // already-thread-safe net::DnsService.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +39,13 @@
 #include "net/sim_net.hpp"
 
 namespace idicn::idicn {
+
+/// Lifetime of a 200 /resolve answer, in seconds, sent as
+/// `Cache-Control: max-age`. Five minutes is a DNS-typical TTL: long next
+/// to a MISS, short next to how often an object moves. A cached answer that
+/// proves wrong (the object moved) costs its holder one extra resolution,
+/// never a failed request.
+inline constexpr std::uint64_t kResolveMaxAgeS = 300;
 
 /// Outcome of a registration attempt.
 enum class RegisterResult { Ok, BadName, PublisherMismatch, BadSignature };

@@ -245,7 +245,9 @@ std::vector<HttpResponse> FaultInjector::multicast(const Address& group_from,
   return inner_->multicast(group_from, group, request);  // unreachable
 }
 
-std::uint64_t FaultInjector::now_ms() const { return inner_->now_ms(); }
+std::uint64_t FaultInjector::now_ms() const {
+  return inner_->now_ms() + clock_step_ms_.value();
+}
 
 void FaultInjector::stall_async(Executor& exec, std::uint64_t delay_ms,
                                 std::function<void()> then) const {

@@ -139,6 +139,12 @@ public:
   /// advance a SimNet virtual clock). Install before traffic flows.
   void set_latency_hook(std::function<void(std::uint64_t)> hook);
 
+  /// Clock step: from now on now_ms() reads `ms` later than the inner
+  /// transport's clock. Expires the time-to-live state of whoever reads
+  /// this clock (cached NRS answers, fresh cache entries) without waiting
+  /// — over SimNet and SocketNet alike. Safe from any thread.
+  void step_clock_ms(std::uint64_t ms) noexcept { clock_step_ms_ += ms; }
+
   [[nodiscard]] Stats stats() const IDICN_EXCLUDES(mutex_);
 
   // Transport:
@@ -220,6 +226,7 @@ private:
   Transport* inner_;
   Options options_;
   std::function<void(std::uint64_t)> latency_hook_;  ///< set before traffic
+  core::sync::RelaxedCounter clock_step_ms_;  ///< see step_clock_ms
   mutable core::sync::Mutex mutex_;
   std::vector<StoredRule> rules_ IDICN_GUARDED_BY(mutex_);
   std::vector<StoredDegradation> degradations_ IDICN_GUARDED_BY(mutex_);

@@ -75,7 +75,7 @@ void AsyncHttpClient::issue(const net::HttpRequest& request,
     replayed_ = false;
   }
   set_interest(true, true);
-  arm_io_deadline();
+  note_io();
   flush_writes();
 }
 
@@ -155,7 +155,7 @@ void AsyncHttpClient::finish_connect() IDICN_REQUIRES(role_) {
     connect_timer_armed_ = false;
   }
   set_interest(true, out_offset_ < out_.size());
-  arm_io_deadline();
+  note_io();
   flush_writes();
 }
 
@@ -173,7 +173,7 @@ void AsyncHttpClient::read_input() IDICN_REQUIRES(role_) {
       handle_failure(std::string("recv: ") + std::strerror(errno));
       return;
     }
-    arm_io_deadline();
+    note_io();
     decoder_.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
     if (decoder_.failed()) {
       handle_failure("malformed response: " + decoder_.error());
@@ -212,7 +212,7 @@ void AsyncHttpClient::flush_writes() IDICN_REQUIRES(role_) {
       return;
     }
     out_offset_ += static_cast<std::size_t>(n);
-    arm_io_deadline();
+    note_io();
   }
   if (fd_.valid() && out_offset_ >= out_.size()) {
     out_.clear();
@@ -293,7 +293,7 @@ void AsyncHttpClient::complete_front(net::HttpResponse head)
   } else if (will_close) {
     begin_connect();  // the rest of the batch redials (nothing delivered)
   } else {
-    arm_io_deadline();
+    note_io();
   }
   op.done(std::move(head), std::string());
 }
@@ -357,17 +357,35 @@ void AsyncHttpClient::park_idle() IDICN_REQUIRES(role_) {
   out_offset_ = 0;
 }
 
-void AsyncHttpClient::arm_io_deadline() IDICN_REQUIRES(role_) {
-  cancel_io_deadline();
+void AsyncHttpClient::note_io() IDICN_REQUIRES(role_) {
+  last_io_ms_ = exec_->now_ms_exec();
+  if (!io_timer_armed_) {
+    arm_io_timer(static_cast<std::uint64_t>(options_.io_timeout_ms));
+  }
+}
+
+void AsyncHttpClient::arm_io_timer(std::uint64_t delay_ms)
+    IDICN_REQUIRES(role_) {
   std::weak_ptr<char> alive{alive_};
-  io_timer_ = exec_->schedule(static_cast<std::uint64_t>(options_.io_timeout_ms),
-                              [this, alive]() {
-                                if (alive.expired()) return;
-                                assert_owned();
-                                io_timer_armed_ = false;
-                                handle_failure("receive timeout");
-                              });
+  io_timer_ = exec_->schedule(delay_ms, [this, alive]() {
+    if (alive.expired()) return;
+    assert_owned();
+    io_timer_armed_ = false;
+    check_io_deadline();
+  });
   io_timer_armed_ = true;
+}
+
+void AsyncHttpClient::check_io_deadline() IDICN_REQUIRES(role_) {
+  // Lazy deadline (ServerWorker::check_deadlines): I/O only moves the
+  // stamp, and the one timer re-arms for what is left of the window.
+  const auto timeout = static_cast<std::uint64_t>(options_.io_timeout_ms);
+  const std::uint64_t idle = exec_->now_ms_exec() - last_io_ms_;
+  if (idle >= timeout) {
+    handle_failure("receive timeout");
+    return;
+  }
+  arm_io_timer(timeout - idle);
 }
 
 void AsyncHttpClient::cancel_io_deadline() IDICN_REQUIRES(role_) {

@@ -125,7 +125,13 @@ private:
   void fail_all(const std::string& error) IDICN_REQUIRES(role_);
   void close_connection() IDICN_REQUIRES(role_);
   void park_idle() IDICN_REQUIRES(role_);
-  void arm_io_deadline() IDICN_REQUIRES(role_);
+  /// Stamp I/O progress: the receive timeout counts from the last stamp.
+  /// Arms the exchange's one timer unless it is armed already.
+  void note_io() IDICN_REQUIRES(role_);
+  void arm_io_timer(std::uint64_t delay_ms) IDICN_REQUIRES(role_);
+  /// The timer fired: fail the exchange if it has been silent for the
+  /// whole timeout, else wait out the rest of it.
+  void check_io_deadline() IDICN_REQUIRES(role_);
   void cancel_io_deadline() IDICN_REQUIRES(role_);
   void set_interest(bool want_read, bool want_write) IDICN_REQUIRES(role_);
 
@@ -158,6 +164,7 @@ private:
   bool connect_timer_armed_ IDICN_GUARDED_BY(role_) = false;
   net::Executor::TaskId io_timer_ IDICN_GUARDED_BY(role_) = 0;
   bool io_timer_armed_ IDICN_GUARDED_BY(role_) = false;
+  std::uint64_t last_io_ms_ IDICN_GUARDED_BY(role_) = 0;  ///< see note_io
   std::uint64_t requests_sent_ = 0;
   /// Liveness token for timer/fd callbacks: they hold a weak_ptr and
   /// no-op after destruction, so a torn-down client never dangles.

@@ -1,5 +1,6 @@
 #include "topology/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace idicn::topology {
@@ -82,36 +83,50 @@ unsigned HierarchicalNetwork::hop_count(GlobalNodeId from, GlobalNodeId to) cons
   return tree_.level_of(ta) + core_paths_.hop_count(pa, pb) + tree_.level_of(tb);
 }
 
-std::vector<GlobalNodeId> HierarchicalNetwork::path(GlobalNodeId from,
-                                                    GlobalNodeId to) const {
+void HierarchicalNetwork::path(GlobalNodeId from, GlobalNodeId to,
+                               std::vector<GlobalNodeId>& out) const {
   const PopId pa = pop_of(from);
   const PopId pb = pop_of(to);
   const TreeIndex ta = tree_index_of(from);
   const TreeIndex tb = tree_index_of(to);
+  out.clear();
+  // Every walk below climbs toward a root; a stretch that runs the other
+  // way is appended climbing and then reversed in place.
+  const auto reverse_tail = [&out](std::size_t first) {
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+  };
 
-  std::vector<GlobalNodeId> out;
   if (pa == pb) {
-    for (const TreeIndex t : tree_.path(ta, tb)) {
+    const TreeIndex lca = tree_.lowest_common_ancestor(ta, tb);
+    for (TreeIndex t = ta; t != lca; t = tree_.parent(t)) {
       out.push_back(global_node(pa, t));
     }
-    return out;
+    out.push_back(global_node(pa, lca));
+    const std::size_t down = out.size();
+    for (TreeIndex t = tb; t != lca; t = tree_.parent(t)) {
+      out.push_back(global_node(pa, t));
+    }
+    reverse_tail(down);
+    return;
   }
 
   // Up the source tree (including the source pop root)…
-  for (const TreeIndex t : tree_.path_to_root(ta)) {
+  for (TreeIndex t = ta; t != 0; t = tree_.parent(t)) {
     out.push_back(global_node(pa, t));
   }
-  // …across the core (skipping the first pop, already emitted)…
-  const std::vector<NodeId> core_nodes = core_paths_.path(pa, pb);
-  for (std::size_t i = 1; i < core_nodes.size(); ++i) {
-    out.push_back(pop_root(core_nodes[i]));
+  out.push_back(pop_root(pa));
+  // …across the core (the source pop is already emitted)…
+  const std::size_t core = out.size();
+  for (NodeId p = pb; p != pa; p = core_paths_.predecessor(pa, p)) {
+    out.push_back(pop_root(p));
   }
-  // …down the destination tree (skipping its root, already emitted).
-  std::vector<TreeIndex> down = tree_.path_to_root(tb);  // tb → … → root
-  for (std::size_t i = down.size() - 1; i-- > 0;) {
-    out.push_back(global_node(pb, down[i]));
+  reverse_tail(core);
+  // …down the destination tree (its root is already emitted).
+  const std::size_t down = out.size();
+  for (TreeIndex t = tb; t != 0; t = tree_.parent(t)) {
+    out.push_back(global_node(pb, t));
   }
-  return out;
+  reverse_tail(down);
 }
 
 GlobalLinkId HierarchicalNetwork::link_between(GlobalNodeId a, GlobalNodeId b) const {

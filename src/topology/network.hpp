@@ -113,11 +113,13 @@ public:
   }
 
   // --- paths ----------------------------------------------------------
-  /// The full node sequence from → … → to through the hierarchy: up the
-  /// source tree to its root, across the core (through intermediate pop
-  /// roots), and down the destination tree. Same-pop pairs route through
-  /// their LCA only.
-  [[nodiscard]] std::vector<GlobalNodeId> path(GlobalNodeId from, GlobalNodeId to) const;
+  /// The full node sequence from → … → to through the hierarchy, written
+  /// into `out`: up the source tree to its root, across the core (through
+  /// intermediate pop roots), and down the destination tree. Same-pop pairs
+  /// route through their LCA only. `out` is cleared first and its capacity
+  /// reused, so a caller that keeps one buffer allocates nothing per path.
+  void path(GlobalNodeId from, GlobalNodeId to,
+            std::vector<GlobalNodeId>& out) const;
 
   /// The global link joining two adjacent nodes. Throws
   /// std::invalid_argument if the nodes are not adjacent.

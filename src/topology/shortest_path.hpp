@@ -43,6 +43,13 @@ public:
   /// The node sequence from → … → to (inclusive). Empty when unreachable.
   [[nodiscard]] std::vector<NodeId> path(NodeId from, NodeId to) const;
 
+  /// The node before `v` on the path from → v (kInvalidNode when v is
+  /// `from` or unreachable): walking it back from `to` yields path(from,
+  /// to) reversed, with no vector built.
+  [[nodiscard]] NodeId predecessor(NodeId from, NodeId v) const {
+    return predecessor_[from][v];
+  }
+
   [[nodiscard]] std::size_t node_count() const noexcept { return distance_.size(); }
 
 private:

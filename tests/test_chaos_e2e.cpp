@@ -314,6 +314,9 @@ TEST(ChaosE2e, NrsOutageCachedContentStillRefreshes) {
 
   d.stop_nrs();
   sleep_ms(5);
+  // Step the proxy's clock past the first MISS's NRS answer, or its
+  // resolution row would name the location and resolution never be tried.
+  d.faulty.step_clock_ms(kResolveMaxAgeS * 1000 + 1);
 
   // Resolution is down, but the proxy remembers where the entry came from
   // and refetches directly — fresh v2, not a stale v1 fallback.

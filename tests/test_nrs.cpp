@@ -144,13 +144,42 @@ TEST(NrsHttp, RegisterThenResolve) {
   EXPECT_NE(answer.body.find("location=rp.addr"), std::string::npos);
 }
 
+TEST(NrsHttp, ResolveAnswersCarryTheirLifetime) {
+  // DNS semantics: a 200 /resolve answer, exact or delegated, tells
+  // resolvers how long they may reuse it.
+  NameResolutionSystem nrs;
+  Publisher pub(110);
+  ASSERT_EQ(nrs.handle_http(registration_request(pub, pub.name("obj"), "rp"),
+                            "rp")
+                .status,
+            201);
+  const auto delegation = pub.signer.sign(
+      NameResolutionSystem::delegation_signing_input(pub.id, "fine.resolver"));
+  ASSERT_EQ(nrs.register_resolver(pub.id, "fine.resolver", pub.signer.root(),
+                                  delegation),
+            RegisterResult::Ok);
+  const std::string max_age = "max-age=" + std::to_string(kResolveMaxAgeS);
+  for (const char* label : {"obj", "delegated"}) {
+    net::HttpRequest query;
+    query.method = "GET";
+    query.target = "/resolve?name=" + pub.name(label).host();
+    const net::HttpResponse answer = nrs.handle_http(query, "proxy");
+    EXPECT_EQ(answer.status, 200) << label;
+    EXPECT_EQ(answer.headers.get("Cache-Control"), max_age) << label;
+  }
+  EXPECT_GE(kResolveMaxAgeS, 60u);
+  EXPECT_LE(kResolveMaxAgeS, 300u);
+}
+
 TEST(NrsHttp, ResolveUnknownIs404) {
   NameResolutionSystem nrs;
   Publisher pub(109);
   net::HttpRequest query;
   query.method = "GET";
   query.target = "/resolve?name=" + pub.name("missing").host();
-  EXPECT_EQ(nrs.handle_http(query, "proxy").status, 404);
+  const net::HttpResponse answer = nrs.handle_http(query, "proxy");
+  EXPECT_EQ(answer.status, 404);
+  EXPECT_FALSE(answer.headers.contains("Cache-Control"));  // never reused
 }
 
 TEST(NrsHttp, MalformedRequestsAre400) {

@@ -57,9 +57,12 @@ struct SocketDeployment {
     return options;
   }
 
-  explicit SocketDeployment(std::size_t proxy_workers = 1)
+  explicit SocketDeployment(
+      std::size_t proxy_workers = 1,
+      std::uint64_t capacity_bytes = Proxy::Options{}.capacity_bytes)
       : proxy{&net, "cache.ad1", "nrs.consortium", &dns,
-              Proxy::Options{.cache_shards = proxy_workers}},
+              Proxy::Options{.capacity_bytes = capacity_bytes,
+                             .cache_shards = proxy_workers}},
         proxy_server{&proxy, "cache.ad1", worker_options(proxy_workers)} {
     nrs_server.start();
     origin_server.start();
@@ -123,6 +126,40 @@ TEST(RuntimeE2e, PublishResolveFetchVerifyOverRealSockets) {
   // crossed origin→rp→proxy once and proxy→client twice.
   EXPECT_EQ(d.proxy.stats().bytes_from_origin, first->body.size());
   EXPECT_EQ(d.proxy.stats().bytes_served, 2 * first->body.size());
+}
+
+TEST(RuntimeE2e, WarmResolutionRowsLeaveOneUpstreamSendPerMiss) {
+  // A proxy that admits no content: every request is a MISS. The first
+  // MISS per name resolves and fetches (two upstream sends); once its NRS
+  // answer is kept, a MISS is the fetch alone.
+  SocketDeployment d(/*proxy_workers=*/1, /*capacity_bytes=*/0);
+  std::vector<SelfCertifyingName> names;
+  for (int i = 0; i < 4; ++i) {
+    names.push_back(d.publish("obj" + std::to_string(i),
+                              "body of object " + std::to_string(i)));
+  }
+  runtime::HttpClient browser("127.0.0.1", d.proxy_server.port());
+  const auto get_all = [&] {
+    for (const SelfCertifyingName& name : names) {
+      std::string error;
+      const auto response = browser.get("http://" + name.host() + "/", &error);
+      ASSERT_TRUE(response.has_value()) << error;
+      EXPECT_EQ(response->status, 200);
+      EXPECT_EQ(response->headers.get("X-Cache"), "MISS");
+    }
+  };
+  const std::uint64_t sent_at_start = d.net.stats().requests_sent;
+  get_all();  // cold rows
+  EXPECT_EQ(d.net.stats().requests_sent - sent_at_start, 2 * names.size());
+
+  const std::uint64_t sent = d.net.stats().requests_sent;
+  const std::uint64_t fetches = d.proxy.fetcher().stats().fetches;
+  const std::uint64_t resolves = d.nrs_server.stats().requests_served;
+  get_all();
+  get_all();
+  EXPECT_EQ(d.proxy.fetcher().stats().fetches - fetches, 2 * names.size());
+  EXPECT_EQ(d.net.stats().requests_sent - sent, 2 * names.size());
+  EXPECT_EQ(d.nrs_server.stats().requests_served, resolves);
 }
 
 TEST(RuntimeE2e, VerificationFailureFallsBackToAuthenticReplica) {
