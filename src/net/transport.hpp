@@ -80,6 +80,13 @@ public:
   virtual bool on_head(const HttpResponse& head) = 0;
   /// One slab of body bytes (shared, immutable). Return false to cancel.
   virtual bool on_chunk(core::Chunk chunk) = 0;
+  /// Asked after a refusal: whether it blames the source's delivery — the
+  /// answer was unusable, or came after another source had won the race.
+  /// A refusal because the caller stopped wanting the bytes (its client
+  /// went away), or of an error status the sink judges for itself, does
+  /// not: a transport that keeps per-destination health counts only
+  /// blaming refusals as failures.
+  [[nodiscard]] virtual bool refusal_blames_source() const { return true; }
 };
 
 /// Synchronous request/response transport keyed by string addresses.

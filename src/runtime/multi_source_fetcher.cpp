@@ -113,6 +113,10 @@ class AttemptSink final : public net::ChunkSink {
   bool on_chunk(core::Chunk chunk) override {
     return state_->on_attempt_chunk(index_, std::move(chunk));
   }
+  /// A refused error head is booked by status in on_attempt_done.
+  bool refusal_blames_source() const override {
+    return !state_->caller_cancelled && !state_->attempts[index_].error_head;
+  }
 
  private:
   std::shared_ptr<MultiFetchState> state_;
@@ -129,6 +133,9 @@ class LegSink final : public net::ChunkSink {
   }
   bool on_chunk(core::Chunk chunk) override {
     return state_->on_leg_chunk(leg_, std::move(chunk));
+  }
+  bool refusal_blames_source() const override {
+    return !state_->caller_cancelled;
   }
 
  private:
@@ -327,6 +334,8 @@ void MultiFetchState::on_attempt_done(std::size_t idx, net::HttpResponse head) {
     const bool clean = head.ok() || attempt.synth_win;
     if (clean) {
       fetcher->note_clean(attempt.to, rtt_us, now);
+    } else if (caller_cancelled) {
+      fetcher->note_ambiguous(attempt.to);  // the caller left, not the source
     } else {
       fetcher->note_failure(attempt.to, now);
     }
@@ -505,6 +514,8 @@ void MultiFetchState::on_leg_done(std::size_t leg_idx, net::HttpResponse head) {
       // A full leg or any sub-5xx answer is a healthy exchange (a 200
       // just means this replica does not speak ranges).
       fetcher->note_clean(leg.sent_to, (now - leg.started_ms) * 1000, now);
+    } else if (caller_cancelled) {
+      fetcher->note_ambiguous(leg.sent_to);
     } else {
       fetcher->note_failure(leg.sent_to, now);
     }

@@ -186,13 +186,16 @@ struct SocketNet::AsyncSendState {
   int max_attempts = 1;
   int attempt = 1;
   bool delivered = false;  ///< the caller's sink saw a head — no more retries
+  /// The sink refused the answer without blaming the destination for it.
+  bool refused_blameless = false;
   std::unique_ptr<AsyncHttpClient> client;  ///< held across one attempt
 };
 
 namespace {
 
 /// Flips the state's delivered flag on the head so the retry ladder stops
-/// replaying into the caller's sink.
+/// replaying into the caller's sink, and notes whether a refusal blames
+/// the destination.
 class AsyncTrackingSink final : public net::ChunkSink {
 public:
   explicit AsyncTrackingSink(std::shared_ptr<SocketNet::AsyncSendState> state)
@@ -200,13 +203,20 @@ public:
 
   bool on_head(const net::HttpResponse& head) override {
     state_->delivered = true;
-    return state_->sink->on_head(head);
+    return note(state_->sink->on_head(head));
   }
   bool on_chunk(core::Chunk chunk) override {
-    return state_->sink->on_chunk(std::move(chunk));
+    return note(state_->sink->on_chunk(std::move(chunk)));
   }
 
 private:
+  bool note(bool accepted) {
+    if (!accepted) {
+      state_->refused_blameless = !state_->sink->refusal_blames_source();
+    }
+    return accepted;
+  }
+
   std::shared_ptr<SocketNet::AsyncSendState> state_;
 };
 
@@ -363,7 +373,16 @@ void SocketNet::finish_async_attempt(std::shared_ptr<AsyncSendState> state,
     return;
   }
   retire(*state->exec, std::move(state->client));  // failed: never pooled
-  if (state->breaker != nullptr) state->breaker->record_failure(now_ms());
+  if (state->breaker != nullptr) {
+    // A head the sink refused without blaming the destination (its caller
+    // left, or it judges the status itself) was a clean answer: a burst of
+    // client disconnects or load-shedding 503s must not open the breaker.
+    if (state->refused_blameless) {
+      state->breaker->record_success(now_ms());
+    } else {
+      state->breaker->record_failure(now_ms());
+    }
+  }
 
   bool give_up = false;
   // Once the sink has seen the head, a retry would deliver the body prefix

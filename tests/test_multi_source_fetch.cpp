@@ -460,6 +460,78 @@ TEST(MultiSourceFetch, SingleSourceNeverArmsTheHedgeTimer) {
   EXPECT_EQ(exec.pending(), 0u);  // nothing to hedge toward: no timer
 }
 
+TEST(MultiSourceFetch, CallerLeavingIsNoVerdictOnTheSource) {
+  // The caller's sink refuses the winner's head (its client went away).
+  // The attempt's sink tells the transport so, and the fetcher books the
+  // torn-down exchange as no sample: the source's breaker and window stay
+  // as they were.
+  ScriptedTransport net;
+  MultiSourceFetcher::Options options;
+  options.range_fetch_enabled = false;
+  options.breaker.failure_threshold = 1;
+  MultiSourceFetcher fetcher(&net, options);
+
+  class GoneSink final : public net::ChunkSink {
+   public:
+    bool on_head(const net::HttpResponse&) override { return false; }
+    bool on_chunk(core::Chunk) override { return false; }
+  };
+  int done_count = 0;
+  fetcher.fetch_from_best(
+      "client", {"only.svc"}, get_request("/obj"), std::make_shared<GoneSink>(),
+      nullptr, [&](net::HttpResponse, const MultiSourceFetcher::Result&) {
+        ++done_count;
+      });
+  ASSERT_EQ(net.sends.size(), 1u);
+  const double window_before = fetcher.snapshot()[0].window;
+
+  net::HttpResponse win;
+  win.status = 200;
+  EXPECT_FALSE(net.sends[0].sink->on_head(win));
+  EXPECT_FALSE(net.sends[0].sink->refusal_blames_source());
+  net.sends[0].done(net::make_response(504, "streaming cancelled by sink"));
+
+  EXPECT_EQ(done_count, 1);
+  const auto snap = fetcher.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].breaker, CircuitBreaker::State::Closed);
+  EXPECT_EQ(snap[0].window, window_before);
+  EXPECT_EQ(snap[0].in_flight, 0u);
+}
+
+TEST(MultiSourceFetch, LostRaceRefusalBlamesTheSourceAnErrorHeadDoesNot) {
+  ScriptedTransport net;
+  ManualExecutor exec;
+  MultiSourceFetcher::Options options;
+  options.range_fetch_enabled = false;
+  MultiSourceFetcher fetcher(&net, options);
+  const auto fetch = [&] {
+    fetcher.fetch_from_best(
+        "client", {"a.svc", "b.svc"}, get_request("/obj"),
+        std::make_shared<CollectSink>(), &exec,
+        [](net::HttpResponse, const MultiSourceFetcher::Result&) {});
+  };
+
+  // The primary stays silent, the hedge wins, and the primary's late head
+  // lost the race: that refusal blames the primary's delivery.
+  fetch();
+  exec.advance_to(options.initial_hedge_delay_ms);
+  ASSERT_EQ(net.sends.size(), 2u);
+  net::HttpResponse win;
+  win.status = 200;
+  ASSERT_TRUE(net.sends[1].sink->on_head(win));
+  net.sends[1].done(win);
+  EXPECT_FALSE(net.sends[0].sink->on_head(win));
+  EXPECT_TRUE(net.sends[0].sink->refusal_blames_source());
+
+  // An error head is refused too (its body is not the object), but the
+  // fetcher judges it by its status, so the transport must not blame it.
+  fetch();
+  ASSERT_EQ(net.sends.size(), 3u);
+  EXPECT_FALSE(net.sends[2].sink->on_head(net::make_response(503, "")));
+  EXPECT_FALSE(net.sends[2].sink->refusal_blames_source());
+}
+
 TEST(MultiSourceFetch, SerialFailoverLadderKeepsTheBestErrorHead) {
   ScriptedTransport net;
   MultiSourceFetcher::Options options;
